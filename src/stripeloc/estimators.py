@@ -38,6 +38,15 @@ from .geometry import SPEED_OF_LIGHT, rot_z, wrap_angle
 _TWO_PI = 2.0 * math.pi
 # singular values below this fraction of the largest are treated as zero
 _RANK_RTOL = 1e-10
+# candidates per batched cost evaluation in the position scan
+_CHUNK = 2048
+# z extent of the 3-D position grid when no box is given
+_Z_RANGE = (0.3, 2.2)
+# scatterer grid: room footprint shrunk by this margin, this z extent, and
+# picked dips at least this many grid steps apart
+_NST_MARGIN = 0.3
+_NST_Z_RANGE = (0.2, 2.6)
+_NST_EXCLUSION_STEPS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +67,6 @@ class Infrastructure:
         self.stripes = tuple(scenario.stripes)
         self.walls = tuple(scenario.walls)
         self.disturbances = list(disturbances)
-        self.n_scatterers = len(scenario.scatterers)
         self.D = int(scenario.D)
         self.known_height = float(scenario.ue_position[2]) if self.D == 2 else None
 
@@ -66,9 +74,6 @@ class Infrastructure:
         """Wall indices contributing a reflected path at stripe ``n``."""
         mounted = self.stripes[n].mounted_wall
         return [w for w in range(len(self.walls)) if w != mounted]
-
-    def n_los_rp(self, n: int) -> int:
-        return 1 + len(self.stripe_walls(n))
 
 
 class _Workspace:
@@ -206,13 +211,61 @@ def _cp_normal(H, q, los_phase):
     return G, rhs, f, path_idx
 
 
-def _gains_from_real(x, los_phase):
-    """Complex per-path gains from the real coefficient vector of _cp_normal."""
-    L = (x.shape[-1] + 1) // 2
-    gains = np.empty(x.shape[:-1] + (L,), dtype=complex)
+def _stripe_model(ws: _Workspace, n: int, positions, dtaus, sp_positions=None):
+    """Stripe ``n``'s response model at batched candidates.
+
+    ``positions`` (B, 3) with clock offsets ``dtaus`` (B,) give the path
+    angles and delays (LoS, wall reflections, then the scatterers at
+    ``sp_positions`` (J, 3) when given), then the whitened Kronecker factors
+    u (B, L, K) and a (B, L, M).  Returns (u, a, tau_los) with tau_los the
+    geometric LoS delay (B,).  Callers run ``_gram_cross`` themselves, so a
+    scan frees one stripe's factors before the next stripe's Gram is built.
+    """
+    infra = ws.infra
+    thetas, delays = _los_rp_geometry(infra, n, positions)
+    if sp_positions is not None and len(sp_positions):
+        th_sp, d_sp = _sp_geometry(infra, n, sp_positions, positions[..., None, :])
+        thetas = np.concatenate([thetas, np.broadcast_to(th_sp, d_sp.shape)], axis=-1)
+        delays = np.concatenate([delays, d_sp], axis=-1)
+    u, a = _whitened_factors(infra, n, thetas, delays + dtaus[..., None])
+    return u, a, delays[..., 0]
+
+
+def _columns(u, a) -> np.ndarray:
+    """Explicit MK x L whitened response columns of one candidate's factors."""
+    return (u[:, :, None] * a[:, None, :]).reshape(u.shape[0], -1).T
+
+
+def _pinned_solve(H, q, los_phase):
+    """Least squares of the phase-pinned basis (_cp_normal -> _solve_psd).
+
+    Returns (gains, explained, rank, G): complex per-path gains, the energy
+    rhs . x the fit explains, the numerical rank and the normal matrix.
+    """
+    G, rhs, _, _ = _cp_normal(H, q, los_phase)
+    x, rank = _solve_psd(G, rhs)
+    explained = np.einsum("...c,...c->...", rhs, x)
+    gains = np.empty(x.shape[:-1] + (H.shape[-1],), dtype=complex)
     gains[..., 0] = x[..., 0] * np.exp(1j * np.asarray(los_phase))
     gains[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
-    return gains
+    return gains, explained, rank, G
+
+
+def _require_full_rank(n: int, G, rank) -> None:
+    """Raise RankDeficient when stripe ``n``'s path responses collide."""
+    if int(rank) < G.shape[-1]:
+        w = np.linalg.eigvalsh(G)
+        raise RankDeficient(
+            f"stripe {n}: path responses are linearly dependent "
+            f"(rank {int(rank)}/{G.shape[-1]}, extreme eigenvalues "
+            f"{w[0]:.3e}/{w[-1]:.3e})"
+        )
+
+
+def _direct_residual(zt, gains, u, a) -> np.ndarray:
+    """Exact residual energy of fitted path sums (no Gram cancellation), batched."""
+    fitted = np.einsum("...l,...lk,...lm->...km", gains, u, a)
+    return np.sum(np.abs(zt - fitted) ** 2, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -315,42 +368,40 @@ class EstimateReport:
 class SearchConfig:
     """Position-search settings.
 
-    ``step`` defaults to a quarter wavelength; ``box`` defaults to the room
-    footprint inferred from axis-aligned walls (falling back to the stripe
-    bounding box padded by a meter), shrunk by ``margin``.  In 3-D mode the
-    grid gains a z axis, so an explicit box is advisable there.
+    ``step`` defaults to a quarter wavelength; ``box`` (one (lo, hi) pair
+    per searched axis) defaults to the room footprint inferred from
+    axis-aligned walls (falling back to the stripe bounding box padded by a
+    meter), shrunk by ``margin``.  In 3-D mode the default grid gains a z
+    axis over 0.3-2.2 m, so an explicit box is advisable there.
 
     The coherent cost oscillates on the wavelength scale with basins only a
     fraction of a wavelength wide, far narrower than any affordable full-room
-    grid.  The search therefore centers a second, fine grid (``fine_step``,
-    reaching ``fine_span_wavelengths`` wavelengths out per axis) on the
-    noncoherent minimum, whose smooth cost picks the right neighborhood, and
-    only then refines locally.
+    grid.  The search therefore centers a second, fine grid (step lambda/40,
+    lambda/12 in 3-D, reaching ``fine_span_wavelengths`` wavelengths out per
+    axis) on the noncoherent minimum, whose smooth cost picks the right
+    neighborhood, and then runs a simplex refinement of at most
+    ``refine_maxiter`` iterations from each of the ``n_starts`` best fine
+    cells at least half a wavelength apart.
     """
 
     step: Optional[float] = None
     margin: float = 0.3
     box: Optional[tuple] = None
-    n_fft: Optional[int] = None
-    chunk: int = 2048
-    refine: bool = True
     refine_maxiter: int = 600
-    z_range: tuple = (0.3, 2.2)
-    fine_step: Optional[float] = None
     fine_span_wavelengths: float = 2.0
     n_starts: int = 3
 
 
 @dataclass(frozen=True)
 class NstConfig:
-    """Scatterer-search settings: 3-D grid plus dip separation."""
+    """Scatterer-search settings.
+
+    ``step`` is the spacing of the 3-D grid over the room footprint (shrunk
+    by 0.3 m) and z in 0.2-2.6 m; dips are picked at least three steps apart
+    and each is refined by at most ``refine_maxiter`` simplex iterations.
+    """
 
     step: float = 0.25
-    margin: float = 0.3
-    box: Optional[tuple] = None
-    z_range: tuple = (0.2, 2.6)
-    exclusion_steps: int = 3
-    refine: bool = True
     refine_maxiter: int = 200
 
 
@@ -377,36 +428,67 @@ def _grid_1d(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
+def _mesh(axes, height) -> np.ndarray:
+    """Points of the grid spanned by per-axis coordinates; two axes sit at ``height``."""
+    cols = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    if len(cols) == 2:
+        cols.append(np.full(cols[0].size, height))
+    return np.column_stack(cols)
+
+
+def _box_grid(infra: Infrastructure, step: float, margin: float, box, z_range):
+    """Grid points at ``step`` over ``box`` shrunk by ``margin`` on each side.
+
+    Without a box the room footprint is used, plus an unshrunk z axis over
+    ``z_range``; ``z_range=None`` asks for a grid at the known UE height.
+    """
+    extra = []
+    if box is None:
+        box = _axis_aligned_box(infra)
+        if z_range is not None:
+            extra = [_grid_1d(z_range[0], z_range[1], step)]
+    axes = [_grid_1d(lo + margin, hi - margin, step) for lo, hi in box] + extra
+    if not axes or any(ax.size == 0 for ax in axes):
+        raise SearchFailure("empty search grid; widen the box or reduce the margin")
+    return _mesh(axes if z_range is not None else axes[:2], infra.known_height)
+
+
 # ---------------------------------------------------------------------------
 # Coarse clock offset (delay-domain peak)
 # ---------------------------------------------------------------------------
 
 
-def _coarse_pseudo_delays(obs, n_fft: int) -> np.ndarray:
-    """Per-stripe delay-domain peak locations from the raw observations.
+def _clock_tie(obs, n_fft: Optional[int] = None):
+    """Map from candidate positions (B, 3) to the clock offsets they imply.
 
-    Zero-padded IFFT over subcarriers, noncoherent power sum over antennas,
-    peak bin mapped back to a pseudo-delay in [0, 1/delta_f).
+    Per stripe, the strongest bin of a zero-padded IFFT over subcarriers
+    (power summed over antennas; ``n_fft`` defaults to 16 K) estimates the
+    line-of-sight pseudo-delay; subtracting a candidate's geometric delay and
+    circularly averaging over stripes gives its offset in [0, 1/delta_f).
     """
     wf = obs.scenario.waveform
-    out = np.empty(len(obs))
+    if n_fft is None:
+        n_fft = 16 * wf.K
+    if n_fft < wf.K:
+        raise ValueError("n_fft must be at least the subcarrier count")
+    taus = np.empty(len(obs))
     for n in range(len(obs)):
         spect = np.fft.ifft(obs.observations[n].Y.T, n=n_fft, axis=0)
         power = np.sum(np.abs(spect) ** 2, axis=1)
-        out[n] = int(np.argmax(power)) / (n_fft * wf.delta_f)
-    return out
+        taus[n] = int(np.argmax(power)) / (n_fft * wf.delta_f)
+    period = 1.0 / wf.delta_f
+    centers = np.array([s.phase_center for s in obs.scenario.stripes])
 
+    def tie(points):
+        dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=-1)
+        offsets = (taus[None, :] - dists / SPEED_OF_LIGHT) % period
+        # the offsets live on a circle (the observation is exactly periodic in
+        # the clock offset), so they are averaged as phases; a linear mean
+        # would wreck cases where quantization scatters stripes across the wrap
+        phases = np.exp(2j * np.pi * offsets / period)
+        return (period / _TWO_PI) * np.angle(phases.mean(axis=-1)) % period
 
-def _circular_mean_offsets(offsets: np.ndarray, period: float) -> np.ndarray:
-    """Mean of per-stripe clock offsets respecting their 1/delta_f periodicity.
-
-    The offsets live on a circle (the observation is exactly periodic in the
-    clock offset), so they are averaged as phases; a linear mean would wreck
-    cases where quantization scatters the stripes across the wrap point.
-    Accepts (..., N) and reduces the last axis to [0, period).
-    """
-    phases = np.exp(2j * np.pi * offsets / period)
-    return (period / _TWO_PI) * np.angle(phases.mean(axis=-1)) % period
+    return tie
 
 
 def coarse_clock_offset(p, obs, n_fft: Optional[int] = None) -> float:
@@ -417,19 +499,8 @@ def coarse_clock_offset(p, obs, n_fft: Optional[int] = None) -> float:
     averaging over stripes gives the offset in the unambiguous range
     [0, 1/delta_f).
     """
-    wf = obs.scenario.waveform
-    if n_fft is None:
-        n_fft = 16 * wf.K
-    if n_fft < wf.K:
-        raise ValueError("n_fft must be at least the subcarrier count")
-    taus = _coarse_pseudo_delays(obs, n_fft)
-    period = 1.0 / wf.delta_f
-    p = np.asarray(p, float)
-    offsets = []
-    for n in range(len(obs)):
-        dist = float(np.linalg.norm(p - obs.scenario.stripes[n].phase_center))
-        offsets.append((taus[n] - dist / SPEED_OF_LIGHT) % period)
-    return float(_circular_mean_offsets(np.asarray(offsets), period))
+    tie = _clock_tie(obs, n_fft)
+    return float(tie(np.asarray(p, float).reshape(1, 3))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -437,76 +508,44 @@ def coarse_clock_offset(p, obs, n_fft: Optional[int] = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ncp_cp_costs(ws: _Workspace, positions: np.ndarray, dtaus: np.ndarray):
-    """Noncoherent and coherent LoS+RP costs for batched candidates.
+def _ncp_cp_costs(ws: _Workspace, positions, dtaus, exact: bool = False):
+    """Noncoherent and coherent LoS+RP costs at batched candidates.
 
-    For each candidate position (with its clock offset), solves the per-stripe
-    complex least squares (free path gains), reads the phase offset off the
-    derotated LoS gains, then re-solves with the LoS phase pinned.  Returns
-    (ncp_cost, cp_cost, dphi, per-stripe CP gain list at each candidate is
-    not kept -- use _cp_point for single candidates).
+    For each candidate position with its clock offset, the per-stripe free
+    complex least squares gives the noncoherent cost, and its LoS gains,
+    derotated by their geometric carrier phases and summed, give the phase
+    offset; each stripe is then re-solved with its LoS phase pinned.
+    Returns (ncp, cp, dphi, gains).  The coherent cost is ||y'||^2 minus the
+    explained energy, or with ``exact`` the residual of the fitted path sum
+    itself, and only then are the per-stripe pinned gains listed; that
+    keeps every stripe's response factors until the second pass, so it is
+    meant for a handful of candidates, not a scan chunk.
     """
-    infra = ws.infra
-    fc = infra.waveform.fc
+    fc = ws.infra.waveform.fc
     batch = positions.shape[:-1]
     ncp = np.zeros(batch)
     xi_sum = np.zeros(batch, dtype=complex)
     cache = []
     for n in range(ws.n_stripes):
-        thetas, delays = _los_rp_geometry(infra, n, positions)
-        pseudo = delays + dtaus[..., None]
-        u, a = _whitened_factors(infra, n, thetas, pseudo)
+        u, a, tau_los = _stripe_model(ws, n, positions, dtaus)
         H, q = _gram_cross(u, a, ws.zt[n])
         gamma, _ = _solve_psd(H, q)
         explained = np.real(np.einsum("...l,...l->...", q.conj(), gamma))
         ncp += np.maximum(ws.ynorm2[n] - explained, 0.0)
-        xi_sum += gamma[..., 0] * np.exp(1j * _TWO_PI * fc * delays[..., 0])
-        cache.append((H, q, delays[..., 0]))
+        xi_sum += gamma[..., 0] * np.exp(1j * _TWO_PI * fc * tau_los)
+        cache.append((H, q, tau_los) + ((u, a) if exact else ()))
     dphi = np.angle(xi_sum)
     cp = np.zeros(batch)
-    for n in range(ws.n_stripes):
-        H, q, tau_los = cache[n]
-        los_phase = -_TWO_PI * fc * tau_los + dphi
-        G, rhs, _, _ = _cp_normal(H, q, los_phase)
-        x, _ = _solve_psd(G, rhs)
-        explained = np.einsum("...c,...c->...", rhs, x)
-        cp += np.maximum(ws.ynorm2[n] - explained, 0.0)
-    return ncp, cp, dphi
-
-
-def _direct_residual(zt, gains, u, a) -> float:
-    """Exact residual energy of a fitted path sum (no Gram cancellation)."""
-    fitted = np.einsum("l,lk,lm->km", gains, u, a)
-    return float(np.sum(np.abs(zt - fitted) ** 2))
-
-
-def _cp_point(ws: _Workspace, position, dtau: float):
-    """Single-candidate coherent evaluation returning cost, dphi and gains."""
-    positions = np.asarray(position, float).reshape(1, 3)
-    dtaus = np.array([dtau])
-    infra = ws.infra
-    fc = infra.waveform.fc
-    xi_sum = 0.0 + 0.0j
-    cache = []
-    for n in range(ws.n_stripes):
-        thetas, delays = _los_rp_geometry(infra, n, positions)
-        u, a = _whitened_factors(infra, n, thetas, delays + dtaus[..., None])
-        H, q = _gram_cross(u, a, ws.zt[n])
-        gamma, _ = _solve_psd(H, q)
-        xi_sum += complex(gamma[0, 0] * np.exp(1j * _TWO_PI * fc * delays[0, 0]))
-        cache.append((H[0], q[0], float(delays[0, 0]), u[0], a[0]))
-    dphi = float(np.angle(xi_sum))
-    cost = 0.0
     gains = []
-    for n in range(ws.n_stripes):
-        H, q, tau_los, u, a = cache[n]
+    for n, (H, q, tau_los, *factors) in enumerate(cache):
         los_phase = -_TWO_PI * fc * tau_los + dphi
-        G, rhs, _, _ = _cp_normal(H, q, los_phase)
-        x, _ = _solve_psd(G, rhs)
-        g = _gains_from_real(x, los_phase)
-        cost += _direct_residual(ws.zt[n], g, u, a)
-        gains.append(g)
-    return cost, dphi, gains
+        g, explained, _, _ = _pinned_solve(H, q, los_phase)
+        if exact:
+            cp += _direct_residual(ws.zt[n], g, *factors)
+            gains.append(g)
+        else:
+            cp += np.maximum(ws.ynorm2[n] - explained, 0.0)
+    return ncp, cp, dphi, gains
 
 
 def _jml_point(ws: _Workspace, eta: WantedParams, strict: bool = False):
@@ -516,32 +555,21 @@ def _jml_point(ws: _Workspace, eta: WantedParams, strict: bool = False):
     the LoS phase from (position, phase offset), and solves the stacked-real
     least squares through the normal equations.  Returns (cost, gains list).
     """
-    infra = ws.infra
-    fc = infra.waveform.fc
+    fc = ws.infra.waveform.fc
     positions = eta.position.reshape(1, 3)
+    dtaus = np.array([eta.clock_offset])
     cost = 0.0
     gains = []
     for n in range(ws.n_stripes):
-        thetas, delays = _los_rp_geometry(infra, n, positions)
-        thetas, delays = thetas[0], delays[0]
-        if eta.sp_positions.size:
-            th_sp, d_sp = _sp_geometry(infra, n, eta.sp_positions, eta.position)
-            thetas = np.concatenate([thetas, th_sp])
-            delays = np.concatenate([delays, d_sp])
-        u, a = _whitened_factors(infra, n, thetas, delays + eta.clock_offset)
+        # one candidate: drop the batch axis so the solve runs on plain matrices
+        model = _stripe_model(ws, n, positions, dtaus, eta.sp_positions)
+        u, a, tau_los = (x[0] for x in model)
         H, q = _gram_cross(u, a, ws.zt[n])
-        los_phase = -_TWO_PI * fc * float(delays[0]) + eta.phase_offset
-        G, rhs, _, _ = _cp_normal(H, q, los_phase)
-        x, rank = _solve_psd(G, rhs)
-        if strict and int(rank) < G.shape[-1]:
-            w = np.linalg.eigvalsh(G)
-            raise RankDeficient(
-                f"stripe {n}: path responses are linearly dependent "
-                f"(rank {int(rank)}/{G.shape[-1]}, extreme eigenvalues "
-                f"{w[0]:.3e}/{w[-1]:.3e})"
-            )
-        g = _gains_from_real(x, los_phase)
-        cost += _direct_residual(ws.zt[n], g, u, a)
+        los_phase = -_TWO_PI * fc * tau_los + eta.phase_offset
+        g, _, rank, G = _pinned_solve(H, q, los_phase)
+        if strict:
+            _require_full_rank(n, G, rank)
+        cost += float(_direct_residual(ws.zt[n], g, u, a))
         gains.append(g)
     return cost, gains
 
@@ -560,24 +588,13 @@ def jml_basis(eta_w: WantedParams, obs, stripe_index: int) -> BasisMatrix:
     and for verifying the Gram-based solver against a dense one.
     """
     ws = _Workspace(obs)
-    infra = ws.infra
-    n = stripe_index
-    positions = eta_w.position.reshape(1, 3)
-    thetas, delays = _los_rp_geometry(infra, n, positions)
-    thetas, delays = thetas[0], delays[0]
-    if eta_w.sp_positions.size:
-        th_sp, d_sp = _sp_geometry(infra, n, eta_w.sp_positions, eta_w.position)
-        thetas = np.concatenate([thetas, th_sp])
-        delays = np.concatenate([delays, d_sp])
-    u, a = _whitened_factors(infra, n, thetas, delays + eta_w.clock_offset)
-    cols = (u[:, :, None] * a[:, None, :]).reshape(len(thetas), -1).T
-    fc = infra.waveform.fc
-    los_phase = -_TWO_PI * fc * float(delays[0]) + eta_w.phase_offset
-    out = [np.exp(1j * los_phase) * cols[:, 0]]
-    for i in range(1, cols.shape[1]):
-        out.append(cols[:, i])
-        out.append(1j * cols[:, i])
-    return BasisMatrix(B=np.column_stack(out))
+    positions, dtaus = eta_w.position.reshape(1, 3), np.array([eta_w.clock_offset])
+    model = _stripe_model(ws, stripe_index, positions, dtaus, eta_w.sp_positions)
+    u, a, tau_los = (x[0] for x in model)
+    H, q = _gram_cross(u, a, ws.zt[stripe_index])
+    los_phase = -_TWO_PI * ws.infra.waveform.fc * tau_los + eta_w.phase_offset
+    _, _, f, path_idx = _cp_normal(H, q, los_phase)
+    return BasisMatrix(B=_columns(u, a)[:, path_idx] * f)
 
 
 def jml_amplitudes(eta_w: WantedParams, obs) -> list:
@@ -606,23 +623,16 @@ def rml_ncp_amplitudes_and_cost(p, delta_tau: float, obs):
     path, the line of sight included, gets an unconstrained complex gain.
     """
     ws = _Workspace(obs)
-    infra = ws.infra
     positions = np.asarray(p, float).reshape(1, 3)
+    dtaus = np.array([float(delta_tau)])
     gains = []
     cost = 0.0
     for n in range(ws.n_stripes):
-        thetas, delays = _los_rp_geometry(infra, n, positions)
-        u, a = _whitened_factors(infra, n, thetas, delays + delta_tau)
+        u, a, _ = _stripe_model(ws, n, positions, dtaus)
         H, q = _gram_cross(u, a, ws.zt[n])
         gamma, rank = _solve_psd(H, q)
-        if int(rank[0]) < H.shape[-1]:
-            w = np.linalg.eigvalsh(H[0])
-            raise RankDeficient(
-                f"stripe {n}: path responses are linearly dependent "
-                f"(rank {int(rank[0])}/{H.shape[-1]}, extreme eigenvalues "
-                f"{w[0].real:.3e}/{w[-1].real:.3e})"
-            )
-        cost += _direct_residual(ws.zt[n], gamma[0], u[0], a[0])
+        _require_full_rank(n, H[0], rank[0])
+        cost += float(_direct_residual(ws.zt[n], gamma, u, a)[0])
         gains.append(gamma[0])
     return gains, float(cost)
 
@@ -684,29 +694,15 @@ def _nm_minimize(fun, x0: np.ndarray, steps: np.ndarray, maxiter: int):
     return x0, float(f0), int(res.nit), int(res.nfev)
 
 
-def _position_grid(infra: Infrastructure, cfg: SearchConfig):
-    step = cfg.step if cfg.step is not None else infra.waveform.wavelength / 4.0
-    if cfg.box is not None:
-        axes = [
-            _grid_1d(lo + cfg.margin, hi - cfg.margin, step) for lo, hi in cfg.box
-        ]
-    else:
-        box = _axis_aligned_box(infra)
-        axes = [_grid_1d(lo + cfg.margin, hi - cfg.margin, step) for lo, hi in box]
-        if infra.D == 3:
-            axes.append(_grid_1d(cfg.z_range[0], cfg.z_range[1], step))
-    if any(ax.size == 0 for ax in axes) or not axes:
-        raise SearchFailure("empty position grid; widen the box or reduce the margin")
-    if infra.D == 2:
-        xs, ys = axes[0], axes[1]
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack(
-            [X.ravel(), Y.ravel(), np.full(X.size, infra.known_height)]
-        )
-    else:
-        X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-    return pts, step
+def _separated_minima(points, costs, min_sep: float, count: int) -> list:
+    """Indices of up to ``count`` lowest costs, best first, ``min_sep`` apart."""
+    picked = []
+    for idx in np.argsort(costs, kind="stable"):
+        if all(np.linalg.norm(points[idx] - points[j]) >= min_sep for j in picked):
+            picked.append(int(idx))
+            if len(picked) == count:
+                break
+    return picked
 
 
 def _position_stage(obs, cfg: Optional[SearchConfig]):
@@ -716,100 +712,45 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     ws = _Workspace(obs)
     infra = ws.infra
     wf = infra.waveform
-    pts, step = _position_grid(infra, cfg)
-    n_fft = cfg.n_fft if cfg.n_fft is not None else 16 * wf.K
-    if n_fft < wf.K:
-        raise ValueError("n_fft must be at least the subcarrier count")
-    taus = _coarse_pseudo_delays(obs, n_fft)
-    period = 1.0 / wf.delta_f
-    centers = np.array([s.phase_center for s in infra.stripes])
-
-    def tied_dtaus(points):
-        dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=-1)
-        offsets = (taus[None, :] - dists / SPEED_OF_LIGHT) % period
-        return _circular_mean_offsets(offsets, period)
-
-    best = {
-        "ncp": (np.inf, None),
-        "cp": (np.inf, None),
-    }
+    lam = wf.wavelength
+    D = infra.D
+    tie = _clock_tie(obs)
 
     def scan(points):
-        for start in range(0, len(points), cfg.chunk):
-            chunk = points[start : start + cfg.chunk]
-            dtaus = tied_dtaus(chunk)
-            ncp, cp, dphi = _ncp_cp_costs(ws, chunk, dtaus)
+        """Chunked costs over ``points``: the best noncoherent (cost, point,
+        clock offset, phase offset), the least coherent cost, then per-point
+        coherent costs and clock offsets."""
+        best = (np.inf,)
+        cps, dts = np.empty(len(points)), np.empty(len(points))
+        for start in range(0, len(points), _CHUNK):
+            chunk = points[start : start + _CHUNK]
+            dtaus = tie(chunk)
+            ncp, cp, dphi = _ncp_cp_costs(ws, chunk, dtaus)[:3]
+            cps[start : start + len(chunk)], dts[start : start + len(chunk)] = cp, dtaus
             k = int(np.argmin(ncp))
-            if ncp[k] < best["ncp"][0]:
-                best["ncp"] = (
-                    float(ncp[k]),
-                    (chunk[k], float(dtaus[k]), float(dphi[k])),
-                )
-            k = int(np.argmin(cp))
-            if cp[k] < best["cp"][0]:
-                best["cp"] = (
-                    float(cp[k]),
-                    (chunk[k], float(dtaus[k]), float(dphi[k])),
-                )
+            if ncp[k] < best[0]:
+                best = (float(ncp[k]), chunk[k], float(dtaus[k]), float(dphi[k]))
+        return best, float(cps.min()), cps, dts
 
-    scan(pts)
+    step = cfg.step if cfg.step is not None else lam / 4.0
+    coarse = _box_grid(infra, step, cfg.margin, cfg.box, _Z_RANGE if D == 3 else None)
+    coarse_ncp, coarse_cp0 = scan(coarse)[:2]
 
     # fine coherent pass around the noncoherent pick: the coherent basins are
     # narrower than the coarse step, so resolve them before refining
-    lam = wf.wavelength
-    if cfg.fine_step is not None:
-        fine_step = cfg.fine_step
-    else:
-        fine_step = lam / 40.0 if infra.D == 2 else lam / 12.0
+    fine_step = lam / 40.0 if D == 2 else lam / 12.0
     span = cfg.fine_span_wavelengths * lam
-    center = best["ncp"][1][0]
+    center = coarse_ncp[1]
     offsets = np.arange(-span, span + 0.5 * fine_step, fine_step)
-    if infra.D == 2:
-        FX, FY = np.meshgrid(center[0] + offsets, center[1] + offsets, indexing="ij")
-        fine = np.column_stack(
-            [FX.ravel(), FY.ravel(), np.full(FX.size, center[2])]
-        )
-    else:
-        FX, FY, FZ = np.meshgrid(
-            center[0] + offsets, center[1] + offsets, center[2] + offsets,
-            indexing="ij",
-        )
-        fine = np.column_stack([FX.ravel(), FY.ravel(), FZ.ravel()])
-    fine_cp = np.empty(len(fine))
-    fine_dtau = np.empty(len(fine))
-    for start in range(0, len(fine), cfg.chunk):
-        chunk = fine[start : start + cfg.chunk]
-        dtaus = tied_dtaus(chunk)
-        ncp, cp, dphi = _ncp_cp_costs(ws, chunk, dtaus)
-        fine_cp[start : start + len(chunk)] = cp
-        fine_dtau[start : start + len(chunk)] = dtaus
-        k = int(np.argmin(ncp))
-        if ncp[k] < best["ncp"][0]:
-            best["ncp"] = (
-                float(ncp[k]),
-                (chunk[k], float(dtaus[k]), float(dphi[k])),
-            )
-        k = int(np.argmin(cp))
-        if cp[k] < best["cp"][0]:
-            best["cp"] = (
-                float(cp[k]),
-                (chunk[k], float(dtaus[k]), float(dphi[k])),
-            )
+    fine = _mesh([c + offsets for c in center[:D]], center[2])
+    fine_ncp, fine_cp0, fine_cp, fine_dtau = scan(fine)
 
     # refinement starts: best fine cells at least half a wavelength apart,
     # guarding against the true basin being narrowly outscored by a sidelobe
-    order = np.argsort(fine_cp, kind="stable")
-    start_idx = []
-    for idx in order:
-        if all(
-            np.linalg.norm(fine[idx] - fine[j]) >= 0.5 * lam for j in start_idx
-        ):
-            start_idx.append(int(idx))
-        if len(start_idx) >= max(1, cfg.n_starts):
-            break
+    start_idx = _separated_minima(fine, fine_cp, 0.5 * lam, max(1, cfg.n_starts))
 
     # noncoherent stage report (grid resolution only; its cost is smooth)
-    ncp_cost, (p_ncp, dt_ncp, dphi_ncp) = best["ncp"]
+    ncp_cost, p_ncp, dt_ncp, dphi_ncp = min(coarse_ncp, fine_ncp, key=lambda b: b[0])
     gains_ncp, _ = rml_ncp_amplitudes_and_cost(p_ncp, dt_ncp, obs)
     ncp_report = EstimateReport(
         stage="RML-NCP",
@@ -823,8 +764,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     )
 
     # coherent stage: local refinement of (p, dtau) from each start, best wins
-    cp_cost0, (p_cp, dt_cp, _) = best["cp"]
-    D = infra.D
+    cp_cost0 = min(coarse_cp0, fine_cp0)
     z_fill = infra.known_height if D == 2 else 0.0
 
     def unpack(x):
@@ -833,25 +773,25 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
         p[2] = z_fill if D == 2 else x[2]
         return p, float(x[D])
 
-    def objective(x):
+    def fit(x):
+        """Exact coherent cost, phase offset and per-stripe gains at x."""
         p, dt = unpack(x)
-        return _cp_point(ws, p, dt)[0]
+        _, cp, dphi, gains = _ncp_cp_costs(ws, p.reshape(1, 3), np.array([dt]), exact=True)
+        return float(cp[0]), float(dphi[0]), [g[0] for g in gains]
 
-    nit = nfev = 0
-    if cfg.refine:
-        steps = np.concatenate(
-            [np.full(D, lam / 8.0), [1.0 / (8.0 * wf.bandwidth)]]
+    steps = np.concatenate([np.full(D, lam / 8.0), [1.0 / (8.0 * wf.bandwidth)]])
+    runs = [
+        _nm_minimize(
+            lambda x: fit(x)[0],
+            np.concatenate([fine[idx][:D], [fine_dtau[idx]]]),
+            steps,
+            cfg.refine_maxiter,
         )
-        runs = []
-        for idx in start_idx:
-            x0 = np.concatenate([fine[idx][:D], [fine_dtau[idx]]])
-            runs.append(_nm_minimize(objective, x0, steps, cfg.refine_maxiter))
-        x_best, cp_cost, nit, nfev = min(runs, key=lambda r: r[1])
-    else:
-        x_best = np.concatenate([p_cp[:D], [dt_cp]])
-        cp_cost = cp_cost0
+        for idx in start_idx
+    ]
+    x_best, _, nit, nfev = min(runs, key=lambda r: r[1])
     p_best, dt_best = unpack(x_best)
-    final_cost, dphi_best, gains_cp = _cp_point(ws, p_best, dt_best)
+    final_cost, dphi_best, gains_cp = fit(x_best)
     rml_report = EstimateReport(
         stage="RML",
         ue_position=p_best,
@@ -887,8 +827,7 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
     ws = _Workspace(obs)
     pts = np.asarray(positions, float).reshape(-1, 3)
     dtaus = np.full(len(pts), float(delta_tau))
-    _, cp, _ = _ncp_cp_costs(ws, pts, dtaus)
-    return cp
+    return _ncp_cp_costs(ws, pts, dtaus)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -897,11 +836,19 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
 
 
 def _los_rp_basis_columns(ws: _Workspace, n: int, p_hat, delta_tau: float):
-    """Explicit whitened LoS+RP columns at the plugged-in estimates."""
+    """Explicit whitened LoS+RP columns at the plugged-in estimates.
+
+    Raises KernelEmpty when they leave no null space (MK <= L).
+    """
     positions = np.asarray(p_hat, float).reshape(1, 3)
-    thetas, delays = _los_rp_geometry(ws.infra, n, positions)
-    u, a = _whitened_factors(ws.infra, n, thetas[0], delays[0] + delta_tau)
-    return (u[:, :, None] * a[:, None, :]).reshape(u.shape[0], -1).T
+    u, a, _ = _stripe_model(ws, n, positions, np.array([float(delta_tau)]))
+    C = _columns(u[0], a[0])
+    if C.shape[0] <= C.shape[1]:
+        raise KernelEmpty(
+            f"stripe {n}: observation dimension {C.shape[0]} does not exceed "
+            f"path count {C.shape[1]}"
+        )
+    return C
 
 
 def nst_kernels(obs, p_hat, delta_tau_hat: float) -> list:
@@ -913,26 +860,8 @@ def nst_kernels(obs, p_hat, delta_tau_hat: float) -> list:
     kernels = []
     for n in range(ws.n_stripes):
         C = _los_rp_basis_columns(ws, n, p_hat, delta_tau_hat)
-        if C.shape[0] <= C.shape[1]:
-            raise KernelEmpty(
-                f"stripe {n}: observation dimension {C.shape[0]} does not exceed "
-                f"path count {C.shape[1]}"
-            )
         kernels.append(null_space(C.conj().T))
     return kernels
-
-
-def _nst_grid(infra: Infrastructure, cfg: NstConfig) -> np.ndarray:
-    if cfg.box is not None:
-        axes = [_grid_1d(lo + cfg.margin, hi - cfg.margin, cfg.step) for lo, hi in cfg.box]
-    else:
-        box = _axis_aligned_box(infra)
-        axes = [_grid_1d(lo + cfg.margin, hi - cfg.margin, cfg.step) for lo, hi in box]
-        axes.append(_grid_1d(cfg.z_range[0], cfg.z_range[1], cfg.step))
-    if any(ax.size == 0 for ax in axes) or len(axes) != 3:
-        raise SearchFailure("empty scatterer grid; widen the box or reduce the margin")
-    X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-    return np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
 
 def nst_map_scatterers(
@@ -958,22 +887,17 @@ def nst_map_scatterers(
     """
     if config is None:
         config = NstConfig()
-    ws = _Workspace(obs)
-    infra = ws.infra
-    J = infra.n_scatterers if n_scatterers is None else int(n_scatterers)
+    J = len(obs.scenario.scatterers) if n_scatterers is None else int(n_scatterers)
     if J == 0:
         return []
+    ws = _Workspace(obs)
+    infra = ws.infra
     p_hat = np.asarray(p_hat, float)
 
     # per-stripe projector data: orthonormal span Q_n of the LoS+RP columns
     proj = []
     for n in range(ws.n_stripes):
         C = _los_rp_basis_columns(ws, n, p_hat, delta_tau_hat)
-        if C.shape[0] <= C.shape[1]:
-            raise KernelEmpty(
-                f"stripe {n}: observation dimension {C.shape[0]} does not exceed "
-                f"path count {C.shape[1]}"
-            )
         Q, _ = qr(C, mode="economic")
         # antenna-fastest vectorization: y[k*M + m] = Y'[m, k] = zt[k, m]
         y = ws.zt[n].reshape(-1)
@@ -1000,17 +924,9 @@ def nst_map_scatterers(
             total += np.maximum(term, 0.0)
         return total
 
-    cands = _nst_grid(infra, config)
+    cands = _box_grid(infra, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
     costs = dip_costs(cands)
-    order = np.argsort(costs, kind="stable")
-    min_sep = config.exclusion_steps * config.step
-    picked = []
-    for idx in order:
-        c = cands[idx]
-        if all(np.linalg.norm(c - cands[j]) >= min_sep for j in picked):
-            picked.append(int(idx))
-            if len(picked) == J:
-                break
+    picked = _separated_minima(cands, costs, _NST_EXCLUSION_STEPS * config.step, J)
     if len(picked) < J:
         raise SearchFailure(
             f"found only {len(picked)} separated dips for {J} scatterers"
@@ -1018,19 +934,14 @@ def nst_map_scatterers(
 
     estimates = []
     for idx in picked:
-        x0 = cands[idx].copy()
-        if config.refine:
-            steps = np.full(3, config.step / 2.0)
-            x_best, _, _, _ = _nm_minimize(
-                lambda x: float(dip_costs(x.reshape(1, 3))[0]),
-                x0,
-                steps,
-                config.refine_maxiter,
-            )
-            estimates.append(x_best)
-        else:
-            estimates.append(x0)
-    return [np.asarray(e, float) for e in estimates]
+        x_best, _, _, _ = _nm_minimize(
+            lambda x: float(dip_costs(x.reshape(1, 3))[0]),
+            cands[idx].copy(),
+            np.full(3, config.step / 2.0),
+            config.refine_maxiter,
+        )
+        estimates.append(np.asarray(x_best, float))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -1095,41 +1006,26 @@ def run_pipeline(
 
     Stages: noncoherent grid pick, coherent search with refinement, null-space
     scatterer mapping at the coherent estimates, then joint simplex refinement
-    of everything.  Each stage consumes only measured data and the outputs of
-    earlier stages.
+    of everything from the NST report.  Each stage consumes only measured data
+    and the outputs of earlier stages.
     """
     ncp_report, rml_report = _position_stage(obs, search)
-    infra_j = len(obs.scenario.scatterers)
-    if infra_j > 0:
-        sps = nst_map_scatterers(
-            obs,
-            rml_report.ue_position,
-            rml_report.clock_offset,
-            rml_report.phase_offset,
-            config=nst,
-        )
-        sp_arr = np.array(sps).reshape(-1, 3)
-    else:
-        sp_arr = np.empty((0, 3))
+    sps = nst_map_scatterers(
+        obs,
+        rml_report.ue_position,
+        rml_report.clock_offset,
+        rml_report.phase_offset,
+        config=nst,
+    )
     nst_report = EstimateReport(
         stage="NST",
         ue_position=rml_report.ue_position,
         clock_offset=rml_report.clock_offset,
         phase_offset=rml_report.phase_offset,
-        sp_positions=sp_arr,
+        sp_positions=np.array(sps).reshape(-1, 3),
         amplitudes=None,
         cost=rml_report.cost,
         cost_trace=(),
     )
-    init = EstimateReport(
-        stage="JML",
-        ue_position=rml_report.ue_position,
-        clock_offset=rml_report.clock_offset,
-        phase_offset=rml_report.phase_offset,
-        sp_positions=sp_arr,
-        amplitudes=None,
-        cost=np.inf,
-        cost_trace=(),
-    )
-    jml_report = jml_refine(init, obs, maxiter=jml_maxiter)
+    jml_report = jml_refine(nst_report, obs, maxiter=jml_maxiter)
     return ncp_report, rml_report, nst_report, jml_report

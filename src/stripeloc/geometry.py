@@ -243,10 +243,3 @@ def enumerate_paths(scenario, stripe_index: int) -> list[PathGeometry]:
             )
         )
     return paths
-
-
-def los_and_rp_count(scenario, stripe_index: int) -> int:
-    """Number of LoS+RP paths L for one stripe (walls minus the mounted one, plus one)."""
-    stripe = scenario.stripes[stripe_index]
-    skip = 1 if stripe.mounted_wall is not None else 0
-    return 1 + len(scenario.walls) - skip

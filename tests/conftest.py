@@ -9,37 +9,13 @@ import numpy as np
 
 from stripeloc.channel import DmcParams, Material, Scatterer
 from stripeloc.fim import SyncMode
-from stripeloc.geometry import Stripe, Wall
-from stripeloc.scenario import Scenario
+from stripeloc.geometry import Stripe
+from stripeloc.scenario import Scenario, rect_room_walls, wall_midpoint_stripes
 from stripeloc.signal import Waveform
 
 
 def rand_cpx(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def rect_room_walls(a: float, b: float, material_id: str = "plaster"):
-    """Four vertical walls of an a x b room, inward normals, counter-clockwise
-    from the y=0 wall."""
-    return (
-        Wall((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), material_id),
-        Wall((a, 0.0, 0.0), (-1.0, 0.0, 0.0), material_id),
-        Wall((0.0, b, 0.0), (0.0, -1.0, 0.0), material_id),
-        Wall((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), material_id),
-    )
-
-
-def wall_midpoint_stripes(a: float, b: float, height: float, M: int, spacing: float):
-    """One stripe centered on each wall, boresight pointing into the room."""
-    specs = [
-        ((a / 2, 0.0, height), 0.0, 0),
-        ((a, b / 2, height), math.pi / 2, 1),
-        ((a / 2, b, height), math.pi, 2),
-        ((0.0, b / 2, height), -math.pi / 2, 3),
-    ]
-    return tuple(
-        Stripe(pc, az, M, spacing, mounted_wall=w) for pc, az, w in specs
-    )
 
 
 def random_small_scenario(rng: np.random.Generator) -> Scenario:
@@ -54,7 +30,7 @@ def random_small_scenario(rng: np.random.Generator) -> Scenario:
     b = float(rng.uniform(4.0, 7.0))
     # path mix: (number of walls kept, number of scatterers), 1 LoS always
     n_walls, n_sp = [(0, 1), (1, 1), (2, 1), (3, 0), (0, 2)][int(rng.integers(5))]
-    walls = rect_room_walls(a, b)[:n_walls]
+    walls = rect_room_walls(a, b, "plaster")[:n_walls]
 
     n_stripes = int(rng.integers(1, 4))
     wf = Waveform(
@@ -132,7 +108,7 @@ def toy_scene(
 ):
     """Small duck-typed scene for unit tests below the Scenario layer."""
     wf = Waveform(fc=fc, K=K, delta_f=delta_f)
-    walls = rect_room_walls(a, b)
+    walls = rect_room_walls(a, b, "plaster")
     stripes = wall_midpoint_stripes(a, b, 2.75, M, wf.wavelength / 2.1)[:n_stripes]
     scatterers = tuple(
         Scatterer((2.0 + j, 2.2, 0.5 + 0.5 * j), 0.19) for j in range(n_sp)

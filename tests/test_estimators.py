@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import rect_room_walls, wall_midpoint_stripes
 
 from stripeloc.channel import DmcParams, Material, Scatterer
 from stripeloc.errors import (
@@ -51,7 +50,13 @@ from stripeloc.geometry import (
     enumerate_paths,
     wrap_angle,
 )
-from stripeloc.scenario import Scenario, canonical_scenario, estimation_scenario
+from stripeloc.scenario import (
+    Scenario,
+    canonical_scenario,
+    estimation_scenario,
+    rect_room_walls,
+    wall_midpoint_stripes,
+)
 from stripeloc.signal import (
     ObservationSet,
     Waveform,
@@ -85,7 +90,7 @@ def small_scene(
         Scatterer((2.0 + 0.8 * j, 3.4, 0.9 + 0.4 * j), 0.19) for j in range(n_sp)
     )
     return Scenario(
-        walls=rect_room_walls(6.0, 5.0)[:n_walls],
+        walls=rect_room_walls(6.0, 5.0, "plaster")[:n_walls],
         stripes=stripes,
         materials={"plaster": Material(6.0, 1.0, 1e-2)},
         ue_position=np.array(ue, dtype=float),
@@ -498,6 +503,24 @@ def test_rml_position_search_empty_grid(est_scene, clean_obs):
     cfg = SearchConfig(box=((0.0, 0.1), (0.0, 0.1)), margin=0.3)
     with pytest.raises(SearchFailure):
         rml_position_search(clean_obs, cfg)
+
+
+def test_rml_refine_scan_and_jml_costs_agree(noisy_obs):
+    # the refined coherent cost, the JML cost without scatterers at the same
+    # (position, clock, phase) and the scan's Gram-identity cost at the same
+    # (position, clock) are one amplitude-eliminated model evaluated three ways
+    cfg = SearchConfig(step=0.2, fine_span_wavelengths=0.3, refine_maxiter=20, n_starts=1)
+    report = rml_position_search(noisy_obs, cfg)
+    eta = WantedParams(
+        position=report.ue_position,
+        clock_offset=report.clock_offset,
+        phase_offset=report.phase_offset,
+        sp_positions=np.empty((0, 3)),
+    )
+    jml = jml_cost(eta, noisy_obs)
+    scan = float(cp_cost_slice(noisy_obs, report.ue_position, report.clock_offset)[0])
+    assert abs(jml - report.cost) <= 1e-9 * report.cost
+    assert abs(scan - report.cost) <= 1e-9 * report.cost
 
 
 # ---------------------------------------------------------------------------
