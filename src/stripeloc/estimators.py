@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import null_space, qr
@@ -33,7 +33,7 @@ from .errors import (
     SearchFailure,
     ZeroAggregate,
 )
-from .geometry import SPEED_OF_LIGHT, rot_z, wrap_angle
+from .geometry import SPEED_OF_LIGHT, reflecting_walls, rot_z, wrap_angle
 
 _TWO_PI = 2.0 * math.pi
 # singular values below this fraction of the largest are treated as zero
@@ -69,11 +69,6 @@ class Infrastructure:
         self.disturbances = list(disturbances)
         self.D = int(scenario.D)
         self.known_height = float(scenario.ue_position[2]) if self.D == 2 else None
-
-    def stripe_walls(self, n: int) -> list:
-        """Wall indices contributing a reflected path at stripe ``n``."""
-        mounted = self.stripes[n].mounted_wall
-        return [w for w in range(len(self.walls)) if w != mounted]
 
 
 class _Workspace:
@@ -117,7 +112,7 @@ def _los_rp_geometry(infra: Infrastructure, n: int, positions: np.ndarray):
     pc = stripe.phase_center
     thetas = [_aoa_batch(positions, stripe)]
     delays = [np.linalg.norm(positions - pc, axis=-1) / SPEED_OF_LIGHT]
-    for w in infra.stripe_walls(n):
+    for w in reflecting_walls(infra.walls, stripe):
         wall = infra.walls[w]
         off = (positions - wall.point) @ wall.normal
         mirrored = positions - 2.0 * off[..., None] * wall.normal
@@ -234,21 +229,6 @@ def _stripe_model(ws: _Workspace, n: int, positions, dtaus, sp_positions=None):
 def _columns(u, a) -> np.ndarray:
     """Explicit MK x L whitened response columns of one candidate's factors."""
     return (u[:, :, None] * a[:, None, :]).reshape(u.shape[0], -1).T
-
-
-def _pinned_solve(H, q, los_phase):
-    """Least squares of the phase-pinned basis (_cp_normal -> _solve_psd).
-
-    Returns (gains, explained, rank, G): complex per-path gains, the energy
-    rhs . x the fit explains, the numerical rank and the normal matrix.
-    """
-    G, rhs, _, _ = _cp_normal(H, q, los_phase)
-    x, rank = _solve_psd(G, rhs)
-    explained = np.einsum("...c,...c->...", rhs, x)
-    gains = np.empty(x.shape[:-1] + (H.shape[-1],), dtype=complex)
-    gains[..., 0] = x[..., 0] * np.exp(1j * np.asarray(los_phase))
-    gains[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
-    return gains, explained, rank, G
 
 
 def _require_full_rank(n: int, G, rank) -> None:
@@ -376,12 +356,12 @@ class SearchConfig:
 
     The coherent cost oscillates on the wavelength scale with basins only a
     fraction of a wavelength wide, far narrower than any affordable full-room
-    grid.  The search therefore centers a second, fine grid (step lambda/40,
-    lambda/12 in 3-D, reaching ``fine_span_wavelengths`` wavelengths out per
-    axis) on the noncoherent minimum, whose smooth cost picks the right
-    neighborhood, and then runs a simplex refinement of at most
-    ``refine_maxiter`` iterations from each of the ``n_starts`` best fine
-    cells at least half a wavelength apart.
+    grid, so the coarse grid at ``step`` is scored by the smooth noncoherent
+    cost only.  A fine grid (step lambda/40, lambda/12 in 3-D, reaching
+    ``fine_span_wavelengths`` wavelengths out per axis) centered on its
+    minimum is scored coherently, and a simplex refinement of at most
+    ``refine_maxiter`` iterations runs from each of the ``n_starts`` best
+    fine cells at least half a wavelength apart.
     """
 
     step: Optional[float] = None
@@ -459,13 +439,9 @@ def _box_grid(infra: Infrastructure, step: float, margin: float, box, z_range):
 
 
 def _clock_tie(obs, n_fft: Optional[int] = None):
-    """Map from candidate positions (B, 3) to the clock offsets they imply.
-
-    Per stripe, the strongest bin of a zero-padded IFFT over subcarriers
-    (power summed over antennas; ``n_fft`` defaults to 16 K) estimates the
-    line-of-sight pseudo-delay; subtracting a candidate's geometric delay and
-    circularly averaging over stripes gives its offset in [0, 1/delta_f).
-    """
+    """Map from candidate positions (B, 3) to the clock offsets they imply:
+    ``coarse_clock_offset`` batched, its delay peaks found once per stripe by
+    a zero-padded IFFT (``n_fft`` defaults to 16 K)."""
     wf = obs.scenario.waveform
     if n_fft is None:
         n_fft = 16 * wf.K
@@ -494,13 +470,12 @@ def _clock_tie(obs, n_fft: Optional[int] = None):
 def coarse_clock_offset(p, obs, n_fft: Optional[int] = None) -> float:
     """Clock offset from delay-domain peaks minus geometric delays at ``p``.
 
-    Per stripe, the strongest delay bin estimates the line-of-sight
-    pseudo-delay; subtracting the geometric delay to ``p`` and circularly
-    averaging over stripes gives the offset in the unambiguous range
-    [0, 1/delta_f).
+    Per stripe, the strongest delay bin (power summed over antennas)
+    estimates the line-of-sight pseudo-delay; subtracting the geometric delay
+    to ``p`` and circularly averaging over stripes gives the offset in the
+    unambiguous range [0, 1/delta_f).
     """
-    tie = _clock_tie(obs, n_fft)
-    return float(tie(np.asarray(p, float).reshape(1, 3))[0])
+    return float(_clock_tie(obs, n_fft)(np.asarray(p, float).reshape(1, 3))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -508,70 +483,99 @@ def coarse_clock_offset(p, obs, n_fft: Optional[int] = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ncp_cp_costs(ws: _Workspace, positions, dtaus, exact: bool = False):
-    """Noncoherent and coherent LoS+RP costs at batched candidates.
+class _StripeFit(NamedTuple):
+    """One stripe's Gram system at batched candidates: Gram ``H``, cross ``q``,
+    geometric LoS delay, the factors ``u``/``a`` when kept, and the free-gain
+    solve (``gains``, ``rank``) of a noncoherent fit (``_ncp_fits``)."""
 
-    For each candidate position with its clock offset, the per-stripe free
-    complex least squares gives the noncoherent cost, and its LoS gains,
-    derotated by their geometric carrier phases and summed, give the phase
-    offset; each stripe is then re-solved with its LoS phase pinned.
-    Returns (ncp, cp, dphi, gains).  The coherent cost is ||y'||^2 minus the
-    explained energy, or with ``exact`` the residual of the fitted path sum
-    itself, and only then are the per-stripe pinned gains listed; that
-    keeps every stripe's response factors until the second pass, so it is
-    meant for a handful of candidates, not a scan chunk.
+    H: np.ndarray
+    q: np.ndarray
+    tau_los: np.ndarray
+    u: Optional[np.ndarray] = None
+    a: Optional[np.ndarray] = None
+    gains: Optional[np.ndarray] = None
+    rank: Optional[np.ndarray] = None
+
+
+def _ncp_fits(ws: _Workspace, positions, dtaus, exact: bool = False):
+    """The noncoherent fit of every stripe at batched candidates.
+
+    Per stripe, every LoS and reflected path gets a free complex gain
+    (``_stripe_model`` -> ``_gram_cross`` -> ``_solve_psd``); the LoS gains,
+    derotated by their geometric carrier phases and summed over stripes,
+    point along the common phase offset.  Returns (xi_sum, fits).  Only with
+    ``exact`` do the fits keep their response factors u and a, all stripes
+    at once, so that is meant for a handful of candidates, not a scan chunk.
     """
     fc = ws.infra.waveform.fc
-    batch = positions.shape[:-1]
-    ncp = np.zeros(batch)
-    xi_sum = np.zeros(batch, dtype=complex)
-    cache = []
+    xi_sum = np.zeros(positions.shape[:-1], dtype=complex)
+    fits = []
     for n in range(ws.n_stripes):
         u, a, tau_los = _stripe_model(ws, n, positions, dtaus)
         H, q = _gram_cross(u, a, ws.zt[n])
-        gamma, _ = _solve_psd(H, q)
-        explained = np.real(np.einsum("...l,...l->...", q.conj(), gamma))
-        ncp += np.maximum(ws.ynorm2[n] - explained, 0.0)
-        xi_sum += gamma[..., 0] * np.exp(1j * _TWO_PI * fc * tau_los)
-        cache.append((H, q, tau_los) + ((u, a) if exact else ()))
-    dphi = np.angle(xi_sum)
-    cp = np.zeros(batch)
-    gains = []
-    for n, (H, q, tau_los, *factors) in enumerate(cache):
-        los_phase = -_TWO_PI * fc * tau_los + dphi
-        g, explained, _, _ = _pinned_solve(H, q, los_phase)
-        if exact:
-            cp += _direct_residual(ws.zt[n], g, *factors)
-            gains.append(g)
-        else:
-            cp += np.maximum(ws.ynorm2[n] - explained, 0.0)
-    return ncp, cp, dphi, gains
+        gains, rank = _solve_psd(H, q)
+        xi_sum += gains[..., 0] * np.exp(1j * _TWO_PI * fc * tau_los)
+        factors = (u, a) if exact else (None, None)
+        fits.append(_StripeFit(H, q, tau_los, *factors, gains, rank))
+    return xi_sum, fits
 
 
-def _jml_point(ws: _Workspace, eta: WantedParams, strict: bool = False):
-    """Amplitude-eliminated likelihood at one wanted-parameter point.
+def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False, strict: bool = False):
+    """Coherent cost: each stripe's Gram system solved with its LoS phase pinned.
 
-    Builds the per-stripe Gram over LoS + reflected + scatterer paths, pins
-    the LoS phase from (position, phase offset), and solves the stacked-real
-    least squares through the normal equations.  Returns (cost, gains list).
+    The pin is the geometric carrier phase plus the phase offset ``dphi``
+    (``_cp_normal`` -> ``_solve_psd``).  Returns (cost, gains): ||y'||^2
+    minus the explained energy, or with ``exact`` (fits with factors) the
+    residual of the fitted path sum and the per-stripe gains.  ``strict``
+    raises RankDeficient when a stripe's path responses collide.
     """
     fc = ws.infra.waveform.fc
+    cost = np.zeros(np.shape(dphi))
+    gains = []
+    for n, fit in enumerate(fits):
+        los_phase = -_TWO_PI * fc * fit.tau_los + dphi
+        G, rhs, _, _ = _cp_normal(fit.H, fit.q, los_phase)
+        x, rank = _solve_psd(G, rhs)
+        if strict:
+            _require_full_rank(n, G, rank)
+        if not exact:
+            cost += np.maximum(ws.ynorm2[n] - np.einsum("...c,...c->...", rhs, x), 0.0)
+            continue
+        g = np.empty(x.shape[:-1] + (fit.H.shape[-1],), dtype=complex)
+        g[..., 0] = x[..., 0] * np.exp(1j * np.asarray(los_phase))
+        g[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
+        cost += _direct_residual(ws.zt[n], g, fit.u, fit.a)
+        gains.append(g)
+    return cost, gains
+
+
+def _ncp_point(ws: _Workspace, p, delta_tau: float):
+    """``_ncp_fits`` at one candidate with factors, rank-checked: (xi_sum, fits)."""
+    positions = np.asarray(p, float).reshape(1, 3)
+    xi_sum, fits = _ncp_fits(ws, positions, np.array([float(delta_tau)]), exact=True)
+    for n, fit in enumerate(fits):
+        _require_full_rank(n, fit.H[0], fit.rank[0])
+    return complex(xi_sum[0]), fits
+
+
+def _jml_fits(ws: _Workspace, eta: WantedParams) -> list:
+    """Per-stripe Gram systems over LoS + reflected + scatterer paths at ``eta``."""
     positions = eta.position.reshape(1, 3)
     dtaus = np.array([eta.clock_offset])
-    cost = 0.0
-    gains = []
+    fits = []
     for n in range(ws.n_stripes):
         # one candidate: drop the batch axis so the solve runs on plain matrices
         model = _stripe_model(ws, n, positions, dtaus, eta.sp_positions)
         u, a, tau_los = (x[0] for x in model)
-        H, q = _gram_cross(u, a, ws.zt[n])
-        los_phase = -_TWO_PI * fc * tau_los + eta.phase_offset
-        g, _, rank, G = _pinned_solve(H, q, los_phase)
-        if strict:
-            _require_full_rank(n, G, rank)
-        cost += float(_direct_residual(ws.zt[n], g, u, a))
-        gains.append(g)
-    return cost, gains
+        fits.append(_StripeFit(*_gram_cross(u, a, ws.zt[n]), tau_los, u, a))
+    return fits
+
+
+def _jml_point(ws: _Workspace, eta: WantedParams, strict: bool = False):
+    """Amplitude-eliminated likelihood (exact residual) and gains at ``eta``."""
+    fits = _jml_fits(ws, eta)
+    cost, gains = _pinned_costs(ws, fits, eta.phase_offset, exact=True, strict=strict)
+    return float(cost), gains
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +592,10 @@ def jml_basis(eta_w: WantedParams, obs, stripe_index: int) -> BasisMatrix:
     and for verifying the Gram-based solver against a dense one.
     """
     ws = _Workspace(obs)
-    positions, dtaus = eta_w.position.reshape(1, 3), np.array([eta_w.clock_offset])
-    model = _stripe_model(ws, stripe_index, positions, dtaus, eta_w.sp_positions)
-    u, a, tau_los = (x[0] for x in model)
-    H, q = _gram_cross(u, a, ws.zt[stripe_index])
-    los_phase = -_TWO_PI * ws.infra.waveform.fc * tau_los + eta_w.phase_offset
-    _, _, f, path_idx = _cp_normal(H, q, los_phase)
-    return BasisMatrix(B=_columns(u, a)[:, path_idx] * f)
+    fit = _jml_fits(ws, eta_w)[stripe_index]
+    los_phase = -_TWO_PI * ws.infra.waveform.fc * fit.tau_los + eta_w.phase_offset
+    _, _, f, path_idx = _cp_normal(fit.H, fit.q, los_phase)
+    return BasisMatrix(B=_columns(fit.u, fit.a)[:, path_idx] * f)
 
 
 def jml_amplitudes(eta_w: WantedParams, obs) -> list:
@@ -606,14 +607,12 @@ def jml_amplitudes(eta_w: WantedParams, obs) -> list:
 
     Raises RankDeficient when path responses collide.
     """
-    _, gains = _jml_point(_Workspace(obs), eta_w, strict=True)
-    return [g.copy() for g in gains]
+    return _jml_point(_Workspace(obs), eta_w, strict=True)[1]
 
 
 def jml_cost(eta_w: WantedParams, obs) -> float:
     """Amplitude-eliminated likelihood cost at a wanted-parameter point."""
-    cost, _ = _jml_point(_Workspace(obs), eta_w, strict=True)
-    return float(cost)
+    return _jml_point(_Workspace(obs), eta_w, strict=True)[0]
 
 
 def rml_ncp_amplitudes_and_cost(p, delta_tau: float, obs):
@@ -621,20 +620,14 @@ def rml_ncp_amplitudes_and_cost(p, delta_tau: float, obs):
 
     Returns (gains list, cost).  This is the noncoherent relaxation: every
     path, the line of sight included, gets an unconstrained complex gain.
+    The cost is the exact residual.  Raises RankDeficient when responses collide.
     """
     ws = _Workspace(obs)
-    positions = np.asarray(p, float).reshape(1, 3)
-    dtaus = np.array([float(delta_tau)])
-    gains = []
+    _, fits = _ncp_point(ws, p, delta_tau)
     cost = 0.0
-    for n in range(ws.n_stripes):
-        u, a, _ = _stripe_model(ws, n, positions, dtaus)
-        H, q = _gram_cross(u, a, ws.zt[n])
-        gamma, rank = _solve_psd(H, q)
-        _require_full_rank(n, H[0], rank[0])
-        cost += float(_direct_residual(ws.zt[n], gamma, u, a)[0])
-        gains.append(gamma[0])
-    return gains, float(cost)
+    for n, fit in enumerate(fits):
+        cost += float(_direct_residual(ws.zt[n], fit.gains, fit.u, fit.a)[0])
+    return [fit.gains[0] for fit in fits], float(cost)
 
 
 def estimate_phase_offset(p, delta_tau: float, obs) -> float:
@@ -644,15 +637,10 @@ def estimate_phase_offset(p, delta_tau: float, obs) -> float:
     phase at ``p``; the complex sum then points along the common phase
     offset.
 
-    Raises ZeroAggregate when the sum is numerically zero (undefined phase).
+    Raises ZeroAggregate when the sum is numerically zero (undefined phase),
+    RankDeficient when path responses collide.
     """
-    gains, _ = rml_ncp_amplitudes_and_cost(p, delta_tau, obs)
-    fc = obs.scenario.waveform.fc
-    p = np.asarray(p, float)
-    total = 0.0 + 0.0j
-    for n, g in enumerate(gains):
-        dist = float(np.linalg.norm(p - obs.scenario.stripes[n].phase_center))
-        total += complex(g[0]) * np.exp(1j * _TWO_PI * fc * dist / SPEED_OF_LIGHT)
+    total, _ = _ncp_point(_Workspace(obs), p, delta_tau)
     if abs(total) < 1e-12:
         raise ZeroAggregate("derotated line-of-sight gains sum to zero")
     return wrap_angle(float(np.angle(total)))
@@ -667,7 +655,8 @@ def _nm_minimize(fun, x0: np.ndarray, steps: np.ndarray, maxiter: int):
     """Nelder-Mead in coordinates scaled by per-parameter steps.
 
     Optimizes g(s) = fun(x0 + steps * s) so the simplex sees O(1) moves in
-    every direction regardless of units; returns (x_best, f_best, nit, nfev).
+    every direction regardless of units; returns (x_best, f_best, nit, nfev,
+    f0) with f0 the value at ``x0`` (non-finite values read as 1e300).
     """
     def scaled(s):
         val = fun(x0 + steps * s)
@@ -690,8 +679,8 @@ def _nm_minimize(fun, x0: np.ndarray, steps: np.ndarray, maxiter: int):
         ),
     )
     if res.fun <= f0:
-        return x0 + steps * res.x, float(res.fun), int(res.nit), int(res.nfev)
-    return x0, float(f0), int(res.nit), int(res.nfev)
+        return x0 + steps * res.x, float(res.fun), int(res.nit), int(res.nfev), float(f0)
+    return x0, float(f0), int(res.nit), int(res.nfev), float(f0)
 
 
 def _separated_minima(points, costs, min_sep: float, count: int) -> list:
@@ -716,25 +705,34 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     D = infra.D
     tie = _clock_tie(obs)
 
-    def scan(points):
-        """Chunked costs over ``points``: the best noncoherent (cost, point,
-        clock offset, phase offset), the least coherent cost, then per-point
-        coherent costs and clock offsets."""
+    def scan(points, coherent: bool = False):
+        """Chunked noncoherent fits over ``points``: the best (cost, point,
+        clock offset, phase offset), then, only when ``coherent``, every
+        point's pinned-phase cost and clock offset (else empty lists)."""
         best = (np.inf,)
-        cps, dts = np.empty(len(points)), np.empty(len(points))
+        cps, dts = [], []
         for start in range(0, len(points), _CHUNK):
             chunk = points[start : start + _CHUNK]
             dtaus = tie(chunk)
-            ncp, cp, dphi = _ncp_cp_costs(ws, chunk, dtaus)[:3]
-            cps[start : start + len(chunk)], dts[start : start + len(chunk)] = cp, dtaus
+            xi_sum, fits = _ncp_fits(ws, chunk, dtaus)
+            dphi = np.angle(xi_sum)
+            ncp = np.zeros(len(chunk))
+            for n, fit in enumerate(fits):
+                explained = np.real(np.einsum("...l,...l->...", fit.q.conj(), fit.gains))
+                ncp += np.maximum(ws.ynorm2[n] - explained, 0.0)
             k = int(np.argmin(ncp))
             if ncp[k] < best[0]:
                 best = (float(ncp[k]), chunk[k], float(dtaus[k]), float(dphi[k]))
-        return best, float(cps.min()), cps, dts
+            if coherent:
+                cps.append(_pinned_costs(ws, fits, dphi)[0])
+                dts.append(dtaus)
+            # free this chunk's Gram systems before the next chunk builds its own
+            del fits, fit
+        return best, cps, dts
 
     step = cfg.step if cfg.step is not None else lam / 4.0
     coarse = _box_grid(infra, step, cfg.margin, cfg.box, _Z_RANGE if D == 3 else None)
-    coarse_ncp, coarse_cp0 = scan(coarse)[:2]
+    coarse_ncp = scan(coarse)[0]
 
     # fine coherent pass around the noncoherent pick: the coherent basins are
     # narrower than the coarse step, so resolve them before refining
@@ -743,7 +741,8 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     center = coarse_ncp[1]
     offsets = np.arange(-span, span + 0.5 * fine_step, fine_step)
     fine = _mesh([c + offsets for c in center[:D]], center[2])
-    fine_ncp, fine_cp0, fine_cp, fine_dtau = scan(fine)
+    fine_ncp, fine_cp, fine_dtau = scan(fine, coherent=True)
+    fine_cp, fine_dtau = np.concatenate(fine_cp), np.concatenate(fine_dtau)
 
     # refinement starts: best fine cells at least half a wavelength apart,
     # guarding against the true basin being narrowly outscored by a sidelobe
@@ -751,32 +750,27 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
 
     # noncoherent stage report (grid resolution only; its cost is smooth)
     ncp_cost, p_ncp, dt_ncp, dphi_ncp = min(coarse_ncp, fine_ncp, key=lambda b: b[0])
-    gains_ncp, _ = rml_ncp_amplitudes_and_cost(p_ncp, dt_ncp, obs)
     ncp_report = EstimateReport(
         stage="RML-NCP",
         ue_position=p_ncp,
         clock_offset=dt_ncp,
         phase_offset=dphi_ncp,
         sp_positions=np.empty((0, 3)),
-        amplitudes=tuple(gains_ncp),
+        amplitudes=tuple(fit.gains[0] for fit in _ncp_point(ws, p_ncp, dt_ncp)[1]),
         cost=ncp_cost,
         cost_trace=(ncp_cost,),
     )
 
     # coherent stage: local refinement of (p, dtau) from each start, best wins
-    cp_cost0 = min(coarse_cp0, fine_cp0)
-    z_fill = infra.known_height if D == 2 else 0.0
-
     def unpack(x):
-        p = np.empty(3)
-        p[:D] = x[:D]
-        p[2] = z_fill if D == 2 else x[2]
-        return p, float(x[D])
+        return np.concatenate([x[:D], [infra.known_height] * (3 - D)]), float(x[D])
 
     def fit(x):
         """Exact coherent cost, phase offset and per-stripe gains at x."""
         p, dt = unpack(x)
-        _, cp, dphi, gains = _ncp_cp_costs(ws, p.reshape(1, 3), np.array([dt]), exact=True)
+        xi_sum, fits = _ncp_fits(ws, p.reshape(1, 3), np.array([dt]), exact=True)
+        dphi = np.angle(xi_sum)
+        cp, gains = _pinned_costs(ws, fits, dphi, exact=True)
         return float(cp[0]), float(dphi[0]), [g[0] for g in gains]
 
     steps = np.concatenate([np.full(D, lam / 8.0), [1.0 / (8.0 * wf.bandwidth)]])
@@ -789,7 +783,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
         )
         for idx in start_idx
     ]
-    x_best, _, nit, nfev = min(runs, key=lambda r: r[1])
+    x_best, _, nit, nfev, _ = min(runs, key=lambda r: r[1])
     p_best, dt_best = unpack(x_best)
     final_cost, dphi_best, gains_cp = fit(x_best)
     rml_report = EstimateReport(
@@ -800,19 +794,21 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
         sp_positions=np.empty((0, 3)),
         amplitudes=tuple(g[0] for g in gains_cp),
         cost=final_cost,
-        cost_trace=(cp_cost0, final_cost, nit, nfev),
+        cost_trace=(float(fine_cp[start_idx[0]]), final_cost, nit, nfev),
     )
     return ncp_report, rml_report
 
 
 def rml_position_search(obs, config: Optional[SearchConfig] = None) -> EstimateReport:
-    """Position and clock offset by coherent grid search plus refinement.
+    """Position and clock offset by grid search plus coherent refinement.
 
-    The grid is scanned at the configured step with the clock offset tied to
-    each candidate through the delay-domain peaks and the phase offset
-    re-estimated in closed form per candidate; a simplex refinement of
-    (position, clock offset) follows and never raises the cost above the best
-    grid cell.
+    Every grid cell's clock offset is tied to it through the delay-domain
+    peaks.  The coarse grid at the configured step is scored by the
+    noncoherent cost only; the fine grid around its minimum is scored
+    coherently, the phase offset re-estimated in closed form per cell.  A
+    simplex refinement of (position, clock offset) follows.  ``cost_trace``
+    is (best fine-cell cost, final cost, iterations, evaluations); the
+    refinement starts from that cell and never ends above its cost.
     """
     return _position_stage(obs, config)[1]
 
@@ -826,8 +822,8 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
     """
     ws = _Workspace(obs)
     pts = np.asarray(positions, float).reshape(-1, 3)
-    dtaus = np.full(len(pts), float(delta_tau))
-    return _ncp_cp_costs(ws, pts, dtaus)[1]
+    xi_sum, fits = _ncp_fits(ws, pts, np.full(len(pts), float(delta_tau)))
+    return _pinned_costs(ws, fits, np.angle(xi_sum))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -934,12 +930,12 @@ def nst_map_scatterers(
 
     estimates = []
     for idx in picked:
-        x_best, _, _, _ = _nm_minimize(
+        x_best = _nm_minimize(
             lambda x: float(dip_costs(x.reshape(1, 3))[0]),
             cands[idx].copy(),
             np.full(3, config.step / 2.0),
             config.refine_maxiter,
-        )
+        )[0]
         estimates.append(np.asarray(x_best, float))
     return estimates
 
@@ -980,8 +976,7 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
             np.full(3 * initial.sp_positions.shape[0], lam / 8.0),
         ]
     )
-    f0 = objective(x0)
-    x_best, f_best, nit, nfev = _nm_minimize(objective, x0, steps, maxiter)
+    x_best, f_best, nit, nfev, f0 = _nm_minimize(objective, x0, steps, maxiter)
     eta = WantedParams.from_flat(x_best, D, z_fill)
     _, gains = _jml_point(ws, eta)
     return EstimateReport(

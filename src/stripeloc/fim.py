@@ -29,6 +29,7 @@ from .geometry import (
     d_rot_z_at_zero,
     enumerate_paths,
     mirror_ue,
+    reflecting_walls,
 )
 from .signal import (
     Waveform,
@@ -184,10 +185,7 @@ class ParamLayout:
 def make_layout(scenario, options: FimOptions) -> ParamLayout:
     N = len(scenario.stripes)
     J = len(scenario.scatterers)
-    nc = []
-    for n, stripe in enumerate(scenario.stripes):
-        skip = 1 if stripe.mounted_wall is not None else 0
-        nc.append(1 + len(scenario.walls) - skip + J)
+    nc = [1 + len(reflecting_walls(scenario.walls, s)) + J for s in scenario.stripes]
     nuis = tuple(J if options.known_rp_phases else c - 1 for c in nc)
     return ParamLayout(
         D=options.D,
@@ -307,6 +305,25 @@ def _null_direction(S: np.ndarray) -> np.ndarray:
     return V[:, 0]
 
 
+def _scaled_cholesky(A: np.ndarray, name: str, first: int, singular: str):
+    """Cholesky factor of ``A`` scaled to a unit diagonal, and the scale; raises
+    SingularFim for a nonpositive diagonal (``name`` number ``first + k``) or a
+    failed factorization (message ``singular``)."""
+    dg = np.diag(A)
+    if np.any(dg <= 0.0):
+        k = int(np.argmin(dg))
+        e = np.zeros(A.shape[0])
+        e[k] = 1.0
+        raise SingularFim(f"{name} {first + k} carries no information", null_direction=e)
+    scale = np.sqrt(dg)
+    S = A / np.outer(scale, scale)
+    try:
+        cf = cho_factor(S, lower=True)
+    except np.linalg.LinAlgError:
+        raise SingularFim(singular, null_direction=_null_direction(S)) from None
+    return cf, scale
+
+
 def efim(J: np.ndarray, layout: ParamLayout) -> np.ndarray:
     """Equivalent FIM of the wanted parameters (Schur complement over nuisance).
 
@@ -319,22 +336,9 @@ def efim(J: np.ndarray, layout: ParamLayout) -> np.ndarray:
     Juu = J[w:, w:]
     if Juu.size == 0:
         return Jww.copy()
-    dg = np.diag(Juu)
-    if np.any(dg <= 0.0):
-        k = int(np.argmin(dg))
-        e = np.zeros(Juu.shape[0])
-        e[k] = 1.0
-        raise SingularFim(
-            f"nuisance parameter {w + k} carries no information", null_direction=e
-        )
-    scale = np.sqrt(dg)
-    S = Juu / np.outer(scale, scale)
-    try:
-        cf = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError:
-        raise SingularFim(
-            "nuisance information block is singular", null_direction=_null_direction(S)
-        ) from None
+    cf, scale = _scaled_cholesky(
+        Juu, "nuisance parameter", w, "nuisance information block is singular"
+    )
     B = Jwu / scale[None, :]
     E = Jww - B @ cho_solve(cf, B.T)
     return 0.5 * (E + E.T)
@@ -372,20 +376,7 @@ def _crb_to_report(crb: np.ndarray, layout: ParamLayout, cond: float, note: str 
 
 def bounds(E: np.ndarray, layout: ParamLayout) -> BoundsReport:
     """Invert the EFIM and read off PEB/CEB/CPEB/SP-PEBs."""
-    dg = np.diag(E)
-    if np.any(dg <= 0.0):
-        k = int(np.argmin(dg))
-        e = np.zeros(E.shape[0])
-        e[k] = 1.0
-        raise SingularFim(f"wanted parameter {k} carries no information", null_direction=e)
-    scale = np.sqrt(dg)
-    S = E / np.outer(scale, scale)
-    try:
-        cf = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError:
-        raise SingularFim(
-            "equivalent FIM is singular", null_direction=_null_direction(S)
-        ) from None
+    cf, scale = _scaled_cholesky(E, "wanted parameter", 0, "equivalent FIM is singular")
     Sinv = cho_solve(cf, np.eye(E.shape[0]))
     crb = Sinv / np.outer(scale, scale)
     return _crb_to_report(crb, layout, float(np.linalg.cond(E)))

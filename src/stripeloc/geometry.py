@@ -191,6 +191,11 @@ def path_delay(p, via, p_rs) -> float:
     return (np.linalg.norm(p - via) + np.linalg.norm(via - p_rs)) / SPEED_OF_LIGHT
 
 
+def reflecting_walls(walls, stripe: Stripe) -> list[int]:
+    """Indices of the walls that reflect to ``stripe``: all but its mounted wall."""
+    return [w for w in range(len(walls)) if w != stripe.mounted_wall]
+
+
 def enumerate_paths(scenario, stripe_index: int) -> list[PathGeometry]:
     """All propagation paths from the UE to one stripe, in canonical order.
 
@@ -203,43 +208,12 @@ def enumerate_paths(scenario, stripe_index: int) -> list[PathGeometry]:
     p = _as_vec3(scenario.ue_position)
     p_rs = stripe.phase_center
     dtau = float(scenario.clock_offset)
-
-    paths = [
-        PathGeometry(
-            kind=PathKind.LOS,
-            index=-1,
-            via_point=p.copy(),
-            aoa=aoa(p, stripe),
-            delay=path_delay(p, p, p_rs),
-            pseudo_delay=path_delay(p, p, p_rs) + dtau,
-        )
-    ]
-    for ell, wall in enumerate(scenario.walls):
-        if stripe.mounted_wall == ell:
-            continue
-        rp = reflection_point(p_rs, p, wall)
-        tau = path_delay(p, rp, p_rs)
-        paths.append(
-            PathGeometry(
-                kind=PathKind.RP,
-                index=ell,
-                via_point=rp,
-                aoa=aoa(rp, stripe),
-                delay=tau,
-                pseudo_delay=tau + dtau,
-            )
-        )
-    for j, sc in enumerate(scenario.scatterers):
-        pos = _as_vec3(sc.position)
-        tau = path_delay(p, pos, p_rs)
-        paths.append(
-            PathGeometry(
-                kind=PathKind.SP,
-                index=j,
-                via_point=pos,
-                aoa=aoa(pos, stripe),
-                delay=tau,
-                pseudo_delay=tau + dtau,
-            )
-        )
+    walls = reflecting_walls(scenario.walls, stripe)
+    routes = [(PathKind.LOS, -1, p.copy())]
+    routes += [(PathKind.RP, w, reflection_point(p_rs, p, scenario.walls[w])) for w in walls]
+    routes += [(PathKind.SP, j, _as_vec3(s.position)) for j, s in enumerate(scenario.scatterers)]
+    paths = []
+    for kind, index, via in routes:
+        tau = path_delay(p, via, p_rs)
+        paths.append(PathGeometry(kind, index, via, aoa(via, stripe), tau, tau + dtau))
     return paths

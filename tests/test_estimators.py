@@ -66,6 +66,27 @@ from stripeloc.signal import (
 )
 
 
+def _test_scene(walls, stripes, ue, wf, clock_offset, phase_offsets, scatterers=()) -> Scenario:
+    """Scenario with the fields the estimator test scenes share: plaster
+    material, DMC at the noise level, vertical polarizations, CP sync, D = 2."""
+    return Scenario(
+        walls=walls,
+        stripes=stripes,
+        materials={"plaster": Material(6.0, 1.0, 1e-2)},
+        ue_position=np.array(ue, dtype=float),
+        clock_offset=clock_offset,
+        phase_offsets=phase_offsets,
+        scatterers=scatterers,
+        waveform=wf,
+        dmc=DmcParams(alpha1=wf.sigma2, beta_d=0.5, tau_d=0.1),
+        transmit_power=1e-8,
+        e_rs=np.array([0.0, 0.0, 1.0]),
+        e_ue=np.array([0.0, 0.0, 1.0]),
+        sync_mode=SyncMode.CP,
+        D=2,
+    )
+
+
 def small_scene(
     n_stripes: int = 2,
     n_walls: int = 4,
@@ -89,21 +110,14 @@ def small_scene(
     scatterers = tuple(
         Scatterer((2.0 + 0.8 * j, 3.4, 0.9 + 0.4 * j), 0.19) for j in range(n_sp)
     )
-    return Scenario(
-        walls=rect_room_walls(6.0, 5.0, "plaster")[:n_walls],
-        stripes=stripes,
-        materials={"plaster": Material(6.0, 1.0, 1e-2)},
-        ue_position=np.array(ue, dtype=float),
-        clock_offset=clock_offset,
-        phase_offsets=np.full(len(stripes), phase_offset),
-        scatterers=scatterers,
-        waveform=wf,
-        dmc=DmcParams(alpha1=wf.sigma2, beta_d=0.5, tau_d=0.1),
-        transmit_power=1e-8,
-        e_rs=np.array([0.0, 0.0, 1.0]),
-        e_ue=np.array([0.0, 0.0, 1.0]),
-        sync_mode=SyncMode.CP,
-        D=2,
+    return _test_scene(
+        rect_room_walls(6.0, 5.0, "plaster")[:n_walls],
+        stripes,
+        ue,
+        wf,
+        clock_offset,
+        np.full(len(stripes), phase_offset),
+        scatterers,
     )
 
 
@@ -381,22 +395,7 @@ def single_los_scene(dist: float, clock_offset: float) -> Scenario:
     """One stripe, no walls or scatterers: a lone line-of-sight path."""
     wf = Waveform(fc=3.5e9, K=8, delta_f=1e6)
     stripe = Stripe((0.0, 0.0, 1.0), 0.0, 4, wf.wavelength / 2.1, mounted_wall=None)
-    return Scenario(
-        walls=(),
-        stripes=(stripe,),
-        materials={"plaster": Material(6.0, 1.0, 1e-2)},
-        ue_position=np.array([0.0, dist, 1.0]),
-        clock_offset=clock_offset,
-        phase_offsets=np.zeros(1),
-        scatterers=(),
-        waveform=wf,
-        dmc=DmcParams(alpha1=wf.sigma2, beta_d=0.5, tau_d=0.1),
-        transmit_power=1e-8,
-        e_rs=np.array([0.0, 0.0, 1.0]),
-        e_ue=np.array([0.0, 0.0, 1.0]),
-        sync_mode=SyncMode.CP,
-        D=2,
-    )
+    return _test_scene((), (stripe,), [0.0, dist, 1.0], wf, clock_offset, np.zeros(1))
 
 
 def test_coarse_clock_offset_on_grid_exact():
@@ -521,6 +520,8 @@ def test_rml_refine_scan_and_jml_costs_agree(noisy_obs):
     scan = float(cp_cost_slice(noisy_obs, report.ue_position, report.clock_offset)[0])
     assert abs(jml - report.cost) <= 1e-9 * report.cost
     assert abs(scan - report.cost) <= 1e-9 * report.cost
+    # the refinement starts from the best fine cell and never ends above it
+    assert report.cost_trace[0] >= report.cost_trace[1]
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +614,8 @@ def test_jml_refine_never_raises_cost(est_scene, noisy_obs):
     out = jml_refine(init, noisy_obs, maxiter=400)
     assert out.cost <= f0 + 1e-12 * (1.0 + f0)
     assert out.cost_trace[0] >= out.cost_trace[1]
+    # the start cost in the trace is the objective at the initial point
+    assert abs(out.cost_trace[0] - f0) <= 1e-12 * abs(f0)
 
 
 def test_run_pipeline_stage_contract(est_scene):
