@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import null_space, qr
+from scipy.linalg import null_space
 from scipy.optimize import minimize
 
 from .errors import (
@@ -47,6 +47,9 @@ _Z_RANGE = (0.3, 2.2)
 _NST_MARGIN = 0.3
 _NST_Z_RANGE = (0.2, 2.6)
 _NST_EXCLUSION_STEPS = 3
+# scatterer candidates per batched fit: every candidate carries its own
+# LoS + RP + scatterer factors, so the grid is scored in chunks
+_NST_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +160,9 @@ def _gram_cross(u, a, zt):
     and an antenna part, so the MK-long columns are never materialized.
     ``zt`` is the whitened observation as K x M.
     """
-    H = np.einsum("...ik,...jk->...ij", u.conj(), u) * np.einsum(
-        "...im,...jm->...ij", a.conj(), a
-    )
-    q = np.einsum("...lk,km,...lm->...l", u.conj(), zt, a.conj(), optimize=True)
+    uc, ac = u.conj(), a.conj()
+    H = (uc @ np.swapaxes(u, -1, -2)) * (ac @ np.swapaxes(a, -1, -2))
+    q = np.sum((uc @ zt) * ac, axis=-1)
     return H, q
 
 
@@ -497,27 +499,42 @@ class _StripeFit(NamedTuple):
     rank: Optional[np.ndarray] = None
 
 
-def _ncp_fits(ws: _Workspace, positions, dtaus, exact: bool = False):
+def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool = False):
     """The noncoherent fit of every stripe at batched candidates.
 
-    Per stripe, every LoS and reflected path gets a free complex gain
-    (``_stripe_model`` -> ``_gram_cross`` -> ``_solve_psd``); the LoS gains,
-    derotated by their geometric carrier phases and summed over stripes,
-    point along the common phase offset.  Returns (xi_sum, fits).  Only with
-    ``exact`` do the fits keep their response factors u and a, all stripes
-    at once, so that is meant for a handful of candidates, not a scan chunk.
+    Per stripe, every LoS and reflected path, and every scatterer path at
+    ``sp_positions`` (passed on to ``_stripe_model``), gets a free complex
+    gain (``_stripe_model`` -> ``_gram_cross`` -> ``_solve_psd``); the LoS
+    gains, derotated by their geometric carrier phases and summed over
+    stripes, point along the common phase offset.  Returns (xi_sum, fits).
+    With one scatterer per candidate, ``_ncp_cost`` of the fits is the NST
+    dip metric: by the Frisch-Waugh-Lovell identity the residual of the joint
+    free-gain fit equals the null-space residual, the data and the scatterer
+    column both projected off the LoS + reflected span.  Only with ``exact``
+    do the fits keep their response factors u and a, all stripes at once,
+    so that is meant for a handful of candidates, not a scan chunk.
     """
     fc = ws.infra.waveform.fc
     xi_sum = np.zeros(positions.shape[:-1], dtype=complex)
     fits = []
     for n in range(ws.n_stripes):
-        u, a, tau_los = _stripe_model(ws, n, positions, dtaus)
+        u, a, tau_los = _stripe_model(ws, n, positions, dtaus, sp_positions)
         H, q = _gram_cross(u, a, ws.zt[n])
         gains, rank = _solve_psd(H, q)
         xi_sum += gains[..., 0] * np.exp(1j * _TWO_PI * fc * tau_los)
         factors = (u, a) if exact else (None, None)
         fits.append(_StripeFit(H, q, tau_los, *factors, gains, rank))
     return xi_sum, fits
+
+
+def _ncp_cost(ws: _Workspace, fits) -> np.ndarray:
+    """Noncoherent cost of ``_ncp_fits`` fits: per stripe, ||y'||^2 minus the
+    explained energy Re{q^H x} (floored at zero), summed over stripes."""
+    cost = np.zeros(fits[0].q.shape[:-1])
+    for n, fit in enumerate(fits):
+        explained = np.real(np.einsum("...l,...l->...", fit.q.conj(), fit.gains))
+        cost += np.maximum(ws.ynorm2[n] - explained, 0.0)
+    return cost
 
 
 def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False, strict: bool = False):
@@ -716,10 +733,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
             dtaus = tie(chunk)
             xi_sum, fits = _ncp_fits(ws, chunk, dtaus)
             dphi = np.angle(xi_sum)
-            ncp = np.zeros(len(chunk))
-            for n, fit in enumerate(fits):
-                explained = np.real(np.einsum("...l,...l->...", fit.q.conj(), fit.gains))
-                ncp += np.maximum(ws.ynorm2[n] - explained, 0.0)
+            ncp = _ncp_cost(ws, fits)
             k = int(np.argmin(ncp))
             if ncp[k] < best[0]:
                 best = (float(ncp[k]), chunk[k], float(dtaus[k]), float(dphi[k]))
@@ -727,7 +741,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
                 cps.append(_pinned_costs(ws, fits, dphi)[0])
                 dts.append(dtaus)
             # free this chunk's Gram systems before the next chunk builds its own
-            del fits, fit
+            del fits
         return best, cps, dts
 
     step = cfg.step if cfg.step is not None else lam / 4.0
@@ -831,20 +845,17 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _los_rp_basis_columns(ws: _Workspace, n: int, p_hat, delta_tau: float):
-    """Explicit whitened LoS+RP columns at the plugged-in estimates.
-
-    Raises KernelEmpty when they leave no null space (MK <= L).
-    """
-    positions = np.asarray(p_hat, float).reshape(1, 3)
-    u, a, _ = _stripe_model(ws, n, positions, np.array([float(delta_tau)]))
-    C = _columns(u[0], a[0])
-    if C.shape[0] <= C.shape[1]:
-        raise KernelEmpty(
-            f"stripe {n}: observation dimension {C.shape[0]} does not exceed "
-            f"path count {C.shape[1]}"
-        )
-    return C
+def _require_null_space(ws: _Workspace) -> None:
+    """Raise KernelEmpty when a stripe's LoS+RP paths leave no null space (MK <= L)."""
+    infra = ws.infra
+    for n, stripe in enumerate(infra.stripes):
+        mk = stripe.num_antennas * infra.waveform.K
+        n_paths = 1 + len(reflecting_walls(infra.walls, stripe))
+        if mk <= n_paths:
+            raise KernelEmpty(
+                f"stripe {n}: observation dimension {mk} does not exceed "
+                f"path count {n_paths}"
+            )
 
 
 def nst_kernels(obs, p_hat, delta_tau_hat: float) -> list:
@@ -853,10 +864,13 @@ def nst_kernels(obs, p_hat, delta_tau_hat: float) -> list:
     Raises KernelEmpty when a stripe has no null space (MK <= L).
     """
     ws = _Workspace(obs)
+    _require_null_space(ws)
+    positions = np.asarray(p_hat, float).reshape(1, 3)
+    dtaus = np.array([float(delta_tau_hat)])
     kernels = []
     for n in range(ws.n_stripes):
-        C = _los_rp_basis_columns(ws, n, p_hat, delta_tau_hat)
-        kernels.append(null_space(C.conj().T))
+        u, a, _ = _stripe_model(ws, n, positions, dtaus)
+        kernels.append(null_space(_columns(u[0], a[0]).conj().T))
     return kernels
 
 
@@ -870,13 +884,15 @@ def nst_map_scatterers(
 ) -> list:
     """Scatterer positions from dips of the null-space residual.
 
-    Per stripe, the observation is projected onto the orthogonal complement
-    of the LoS+RP span evaluated at the plugged-in (position, clock offset);
-    candidate scatterer responses are then matched against the projected
-    data over a 3-D grid, and the requested number of well-separated dips is
-    returned, each locally refined.  The phase offset argument completes the
-    plugged-in estimate set but drops out of the dip metric (per-stripe
-    scatterer gains are free complex).
+    Per stripe, the LoS+RP responses at the plugged-in (position, clock
+    offset) are projected out of the observation, and a candidate scatterer
+    response with a free gain is fitted to what remains, over a 3-D grid;
+    the requested number of well-separated dips is returned, each locally
+    refined.  The residual is scored as the joint free-gain fit of LoS + RP +
+    candidate (``_ncp_fits`` -> ``_ncp_cost``), which by the Frisch-Waugh-
+    Lovell identity equals the null-space residual.  The phase offset
+    argument completes the plugged-in estimate set but drops out of the dip
+    metric (per-stripe scatterer gains are free complex).
 
     Raises KernelEmpty when the null space is empty, SearchFailure when the
     grid is empty.
@@ -887,40 +903,19 @@ def nst_map_scatterers(
     if J == 0:
         return []
     ws = _Workspace(obs)
-    infra = ws.infra
-    p_hat = np.asarray(p_hat, float)
-
-    # per-stripe projector data: orthonormal span Q_n of the LoS+RP columns
-    proj = []
-    for n in range(ws.n_stripes):
-        C = _los_rp_basis_columns(ws, n, p_hat, delta_tau_hat)
-        Q, _ = qr(C, mode="economic")
-        # antenna-fastest vectorization: y[k*M + m] = Y'[m, k] = zt[k, m]
-        y = ws.zt[n].reshape(-1)
-        qy = Q.conj().T @ y
-        resid = y - Q @ qy
-        proj.append((Q, resid, float(np.real(resid.conj() @ resid))))
+    _require_null_space(ws)
+    p_hat = np.asarray(p_hat, float).reshape(3)
 
     def dip_costs(cands: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(cands))
-        for n in range(ws.n_stripes):
-            Q, resid, znorm2 = proj[n]
-            th, d = _sp_geometry(infra, n, cands, p_hat)
-            u, a = _whitened_factors(infra, n, th, d + delta_tau_hat)
-            M = a.shape[-1]
-            cnorm2 = M * np.sum(np.abs(u) ** 2, axis=-1)
-            Qr = Q.reshape(ws.infra.waveform.K, M, Q.shape[1])
-            w = np.einsum("gk,gm,kml->gl", u.conj(), a.conj(), Qr, optimize=True)
-            zr = resid.reshape(ws.infra.waveform.K, M)
-            t = np.einsum("gk,km,gm->g", u.conj(), zr, a.conj(), optimize=True)
-            g2 = cnorm2 - np.sum(np.abs(w) ** 2, axis=-1)
-            ok = g2 > 1e-12 * cnorm2
-            term = np.full(len(cands), znorm2)
-            term[ok] -= np.abs(t[ok]) ** 2 / g2[ok]
-            total += np.maximum(term, 0.0)
-        return total
+        costs = []
+        for start in range(0, len(cands), _NST_CHUNK):
+            chunk = cands[start : start + _NST_CHUNK]
+            positions = np.broadcast_to(p_hat, chunk.shape)
+            dtaus = np.full(len(chunk), float(delta_tau_hat))
+            costs.append(_ncp_cost(ws, _ncp_fits(ws, positions, dtaus, chunk[:, None, :])[1]))
+        return np.concatenate(costs)
 
-    cands = _box_grid(infra, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
+    cands = _box_grid(ws.infra, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
     costs = dip_costs(cands)
     picked = _separated_minima(cands, costs, _NST_EXCLUSION_STEPS * config.step, J)
     if len(picked) < J:

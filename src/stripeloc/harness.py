@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import StripelocError
+from .errors import SemanticError, StripelocError
 from .estimators import NstConfig, SearchConfig, run_pipeline
 from .fim import FimOptions, SyncMode, compute_bounds, peb_heatmap
 from .geometry import SPEED_OF_LIGHT, wrap_angle
@@ -267,10 +267,20 @@ def run_monte_carlo(
 
     Per-trial seeds are derived as (master_seed, sdnr index, trial index),
     so results are reproducible for a fixed master seed regardless of
-    thread count; trial failures are recorded in the table, not raised.
+    thread count; any exception a trial raises is recorded in the table's
+    failures, not raised.
+
+    Raises SemanticError for a ``sync_mode=ncp`` scenario: the estimators
+    model one phase offset shared by all stripes, so their estimates cannot
+    be scored against per-stripe phase offsets and the NCP bounds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if scenario.sync_mode is not SyncMode.CP:
+        raise SemanticError(
+            f"sync_mode={scenario.sync_mode.value}: the estimators model one phase "
+            "offset shared by all stripes; run estimation with sync_mode=cp"
+        )
     entries: list = []
     failures: list = []
     records: list = []
@@ -291,21 +301,13 @@ def run_monte_carlo(
             )
 
         results: dict = {}
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = {pool.submit(one, t): t for t in range(trials)}
-                for fut in concurrent.futures.as_completed(futs):
-                    t = futs[fut]
-                    try:
-                        results[t] = fut.result()
-                    except (StripelocError, np.linalg.LinAlgError) as exc:
-                        results[t] = exc
-        else:
-            for t in range(trials):
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            futs = {pool.submit(one, t): t for t in range(trials)}
+            for fut in concurrent.futures.as_completed(futs):
                 try:
-                    results[t] = one(t)
-                except (StripelocError, np.linalg.LinAlgError) as exc:
-                    results[t] = exc
+                    results[futs[fut]] = fut.result()
+                except Exception as exc:
+                    results[futs[fut]] = exc
 
         for t in range(trials):  # fixed order keeps aggregation reproducible
             res = results[t]

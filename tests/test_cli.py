@@ -77,6 +77,13 @@ def test_numerical_failure_exits_2(monkeypatch, capsys):
     assert "SearchFailure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_estimation_refuses_ncp_sync_exits_1(command, capsys):
+    argv = [command, "--scenario", "estimation", "--sdnr", "20", "--sync", "ncp"]
+    assert cli(argv) == 1
+    assert "one phase offset shared by all stripes" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert cli(["--help"]) == 0
     assert "bounds" in capsys.readouterr().out

@@ -5,12 +5,14 @@ driver is exercised noise-free (where every stage must land within solver
 tolerance) and with noise for determinism and failure-recording behavior.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from stripeloc.errors import StripelocError
+import stripeloc.harness as harness_mod
+from stripeloc.errors import SemanticError, StripelocError
 from stripeloc.estimators import SearchConfig
 from stripeloc.fim import SyncMode
 from stripeloc.harness import (
@@ -181,6 +183,33 @@ def test_monte_carlo_records_failures_not_fatal():
     entry = table.stage(20.0, "JML")
     assert entry.errors["position"].size == 0
     assert np.isnan(entry.rmse_raw["position"])
+
+
+def test_monte_carlo_records_any_trial_exception(monkeypatch):
+    real = harness_mod.run_pipeline
+
+    def flaky(obs, **kw):
+        # the per-stripe seed key is (master seed, sdnr index, trial, stripe)
+        if obs.observations[0].rng_seed[2] == 0:
+            raise RuntimeError("trial 0 broke")
+        return real(obs, **kw)
+
+    monkeypatch.setattr(harness_mod, "run_pipeline", flaky)
+    table = run_monte_carlo(estimation_scenario(), [20.0], trials=2, master_seed=3, jml_maxiter=20)
+    assert table.failures == (
+        {"sdnr_db": 20.0, "trial": 0, "error": "RuntimeError", "message": "trial 0 broke"},
+    )
+    assert [(r["trial"], r["stage"]) for r in table.records] == [(1, s) for s in STAGES]
+    assert table.stage(20.0, "JML").errors["position"].size == 1
+
+
+def test_monte_carlo_refuses_ncp_sync_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness_mod, "run_pipeline", lambda obs, **kw: calls.append(obs))
+    sc = dataclasses.replace(estimation_scenario(), sync_mode=SyncMode.NCP)
+    with pytest.raises(SemanticError, match="one phase offset shared by all stripes"):
+        run_monte_carlo(sc, [20.0], trials=2, master_seed=1)
+    assert calls == []
 
 
 def test_monte_carlo_error_decreases_with_sdnr():
