@@ -20,7 +20,7 @@ from scipy.constants import epsilon_0, mu_0
 from scipy.linalg import toeplitz
 
 from .errors import DegenerateGeometry, NumericalFailure
-from .geometry import PathGeometry, PathKind, SPEED_OF_LIGHT, Stripe
+from .geometry import PathGeometry, PathKind, SPEED_OF_LIGHT, Stripe, wrap_angle
 
 # Intrinsic impedance of free space, ~376.73 ohm.
 Z0 = math.sqrt(mu_0 / epsilon_0)
@@ -204,8 +204,7 @@ def path_phase(
     ``varphi`` must be 0 for the LoS path (any reflection-induced phase is
     absorbed into the stripe phase offset by convention).
     """
-    phase = -2.0 * math.pi * fc * path.delay + varphi + delta_phi_n
-    return math.pi - (math.pi - phase) % (2.0 * math.pi)
+    return wrap_angle(-2.0 * math.pi * fc * path.delay + varphi + delta_phi_n)
 
 
 def dmc_psd(dmc: DmcParams, f: np.ndarray) -> np.ndarray:

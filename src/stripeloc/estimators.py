@@ -25,14 +25,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .errors import (
     KernelEmpty,
     RankDeficient,
     SearchFailure,
+    SemanticError,
     ZeroAggregate,
 )
+from .fim import SyncMode
 from .geometry import SPEED_OF_LIGHT, reflecting_walls, rot_z, wrap_angle
 
 _TWO_PI = 2.0 * math.pi
@@ -50,6 +52,9 @@ _NST_EXCLUSION_STEPS = 3
 # scatterer candidates per batched fit: every candidate carries its own
 # LoS + RP + scatterer factors, so the grid is scored in chunks
 _NST_CHUNK = 1024
+# Levenberg-Marquardt ftol, xtol and gtol of every refine; at 1e-10 JML
+# stopped up to 6.5e-10 relative above a derivative-free search's costs
+_LM_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +77,17 @@ class Infrastructure:
         self.disturbances = list(disturbances)
         self.D = int(scenario.D)
         self.known_height = float(scenario.ue_position[2]) if self.D == 2 else None
+
+
+def require_cp_sync(scenario) -> None:
+    """Raise SemanticError unless ``sync_mode=cp``: the estimators model one
+    phase offset shared by all stripes, so under ``sync_mode=ncp`` a fit
+    would silently pin wrong phases."""
+    if scenario.sync_mode is not SyncMode.CP:
+        raise SemanticError(
+            f"sync_mode={scenario.sync_mode.value}: the estimators model one phase "
+            "offset shared by all stripes; run estimation with sync_mode=cp"
+        )
 
 
 class _Workspace:
@@ -244,10 +260,12 @@ def _require_full_rank(n: int, G, rank) -> None:
         )
 
 
-def _direct_residual(zt, gains, u, a) -> np.ndarray:
-    """Exact residual energy of fitted path sums (no Gram cancellation), batched."""
-    fitted = np.einsum("...l,...lk,...lm->...km", gains, u, a)
-    return np.sum(np.abs(zt - fitted) ** 2, axis=(-2, -1))
+def _residuals(ws: _Workspace, fits, gains) -> np.ndarray:
+    """Whitened residuals y' - sum_l g_l c_l' of all stripes (fits with factors)
+    as one real vector per candidate; its squared norm is the exact cost."""
+    fitted = [np.einsum("...l,...lk,...lm->...km", g, f.u, f.a) for f, g in zip(fits, gains)]
+    r = [(zt - m).reshape(m.shape[:-2] + (-1,)) for zt, m in zip(ws.zt, fitted)]
+    return np.concatenate(r, axis=-1).view(float)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +379,9 @@ class SearchConfig:
     grid, so the coarse grid at ``step`` is scored by the smooth noncoherent
     cost only.  A fine grid (step lambda/40, lambda/12 in 3-D, reaching
     ``fine_span_wavelengths`` wavelengths out per axis) centered on its
-    minimum is scored coherently, and a simplex refinement of at most
-    ``refine_maxiter`` iterations runs from each of the ``n_starts`` best
-    fine cells at least half a wavelength apart.
+    minimum is scored coherently, and a Levenberg-Marquardt refinement of at
+    most about ``refine_maxiter`` solver steps runs from each of the
+    ``n_starts`` best fine cells at least half a wavelength apart.
     """
 
     step: Optional[float] = None
@@ -380,7 +398,7 @@ class NstConfig:
 
     ``step`` is the spacing of the 3-D grid over the room footprint (shrunk
     by 0.3 m) and z in 0.2-2.6 m; dips are picked at least three steps apart
-    and each is refined by at most ``refine_maxiter`` simplex iterations.
+    and each is refined by at most about ``refine_maxiter`` solver steps.
     """
 
     step: float = 0.25
@@ -538,13 +556,13 @@ def _ncp_cost(ws: _Workspace, fits) -> np.ndarray:
 
 
 def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False, strict: bool = False):
-    """Coherent cost: each stripe's Gram system solved with its LoS phase pinned.
+    """Coherent fit: each stripe's Gram system solved with its LoS phase pinned.
 
     The pin is the geometric carrier phase plus the phase offset ``dphi``
-    (``_cp_normal`` -> ``_solve_psd``).  Returns (cost, gains): ||y'||^2
-    minus the explained energy, or with ``exact`` (fits with factors) the
-    residual of the fitted path sum and the per-stripe gains.  ``strict``
-    raises RankDeficient when a stripe's path responses collide.
+    (``_cp_normal`` -> ``_solve_psd``).  Returns the cost, ||y'||^2 minus the
+    explained energy summed over stripes, or with ``exact`` the per-stripe
+    path gains, for ``_residuals`` of the fits.  ``strict`` raises
+    RankDeficient when a stripe's path responses collide.
     """
     fc = ws.infra.waveform.fc
     cost = np.zeros(np.shape(dphi))
@@ -561,9 +579,8 @@ def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False, strict: bool 
         g = np.empty(x.shape[:-1] + (fit.H.shape[-1],), dtype=complex)
         g[..., 0] = x[..., 0] * np.exp(1j * np.asarray(los_phase))
         g[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
-        cost += _direct_residual(ws.zt[n], g, fit.u, fit.a)
         gains.append(g)
-    return cost, gains
+    return gains if exact else cost
 
 
 def _ncp_point(ws: _Workspace, p, delta_tau: float):
@@ -589,10 +606,10 @@ def _jml_fits(ws: _Workspace, eta: WantedParams) -> list:
 
 
 def _jml_point(ws: _Workspace, eta: WantedParams, strict: bool = False):
-    """Amplitude-eliminated likelihood (exact residual) and gains at ``eta``."""
+    """Amplitude-eliminated residual (``_residuals``) and gains at ``eta``."""
     fits = _jml_fits(ws, eta)
-    cost, gains = _pinned_costs(ws, fits, eta.phase_offset, exact=True, strict=strict)
-    return float(cost), gains
+    gains = _pinned_costs(ws, fits, eta.phase_offset, exact=True, strict=strict)
+    return _residuals(ws, fits, gains), gains
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +646,8 @@ def jml_amplitudes(eta_w: WantedParams, obs) -> list:
 
 def jml_cost(eta_w: WantedParams, obs) -> float:
     """Amplitude-eliminated likelihood cost at a wanted-parameter point."""
-    return _jml_point(_Workspace(obs), eta_w, strict=True)[0]
+    r = _jml_point(_Workspace(obs), eta_w, strict=True)[0]
+    return float(r @ r)
 
 
 def rml_ncp_amplitudes_and_cost(p, delta_tau: float, obs):
@@ -641,10 +659,8 @@ def rml_ncp_amplitudes_and_cost(p, delta_tau: float, obs):
     """
     ws = _Workspace(obs)
     _, fits = _ncp_point(ws, p, delta_tau)
-    cost = 0.0
-    for n, fit in enumerate(fits):
-        cost += float(_direct_residual(ws.zt[n], fit.gains, fit.u, fit.a)[0])
-    return [fit.gains[0] for fit in fits], float(cost)
+    r = _residuals(ws, fits, [fit.gains for fit in fits])[0]
+    return [fit.gains[0] for fit in fits], float(r @ r)
 
 
 def estimate_phase_offset(p, delta_tau: float, obs) -> float:
@@ -668,36 +684,35 @@ def estimate_phase_offset(p, delta_tau: float, obs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _nm_minimize(fun, x0: np.ndarray, steps: np.ndarray, maxiter: int):
-    """Nelder-Mead in coordinates scaled by per-parameter steps.
+def _lm_refine(residual, x0: np.ndarray, steps: np.ndarray, maxiter: int):
+    """Levenberg-Marquardt on r(x0 + steps * s): forward-difference Jacobians
+    and the trust region both live in the scaled coordinates s (scipy's
+    default Jacobian-norm scaling crept for hundreds of steps on NST dips).
+    Returns (x_best, f_best, nit, nfev, f0): f = ||r||^2, nit the solver's
+    steps (capped near ``maxiter``), nfev every residual call.  ``x0`` comes
+    back when no step is allowed, when the residual raises LinAlgError, or
+    when the solver ends above f0."""
+    nfev = 0
 
-    Optimizes g(s) = fun(x0 + steps * s) so the simplex sees O(1) moves in
-    every direction regardless of units; returns (x_best, f_best, nit, nfev,
-    f0) with f0 the value at ``x0`` (non-finite values read as 1e300).
-    """
     def scaled(s):
-        val = fun(x0 + steps * s)
-        return val if np.isfinite(val) else 1e300
+        nonlocal nfev
+        nfev += 1
+        return residual(x0 + steps * s)
 
-    n = len(x0)
-    simplex = np.zeros((n + 1, n))
-    simplex[1:] += np.eye(n)
-    f0 = scaled(np.zeros(n))
-    res = minimize(
-        scaled,
-        np.zeros(n),
-        method="Nelder-Mead",
-        options=dict(
-            initial_simplex=simplex,
-            xatol=1e-3,
-            fatol=1e-8 * (1.0 + abs(f0)),
-            maxiter=maxiter,
-            maxfev=4 * maxiter,
-        ),
-    )
-    if res.fun <= f0:
-        return x0 + steps * res.x, float(res.fun), int(res.nit), int(res.nfev), float(f0)
-    return x0, float(f0), int(res.nit), int(res.nfev), float(f0)
+    s0 = np.zeros(len(x0))
+    r0 = scaled(s0)
+    f0 = float(r0 @ r0)
+    res = None
+    if maxiter > 0:
+        try:
+            res = least_squares(scaled, s0, method="lm", ftol=_LM_TOL, xtol=_LM_TOL,
+                                gtol=_LM_TOL, x_scale=1.0, max_nfev=maxiter)
+        except np.linalg.LinAlgError:
+            pass
+    nit = 0 if res is None else int(res.nfev)
+    if res is None or 2.0 * res.cost > f0:
+        return x0, f0, nit, nfev, f0
+    return x0 + steps * res.x, 2.0 * float(res.cost), nit, nfev, f0
 
 
 def _separated_minima(points, costs, min_sep: float, count: int) -> list:
@@ -713,6 +728,7 @@ def _separated_minima(points, costs, min_sep: float, count: int) -> list:
 
 def _position_stage(obs, cfg: Optional[SearchConfig]):
     """Shared grid scan feeding both the noncoherent and coherent reports."""
+    require_cp_sync(obs.scenario)
     if cfg is None:
         cfg = SearchConfig()
     ws = _Workspace(obs)
@@ -738,7 +754,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
             if ncp[k] < best[0]:
                 best = (float(ncp[k]), chunk[k], float(dtaus[k]), float(dphi[k]))
             if coherent:
-                cps.append(_pinned_costs(ws, fits, dphi)[0])
+                cps.append(_pinned_costs(ws, fits, dphi))
                 dts.append(dtaus)
             # free this chunk's Gram systems before the next chunk builds its own
             del fits
@@ -780,26 +796,22 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
         return np.concatenate([x[:D], [infra.known_height] * (3 - D)]), float(x[D])
 
     def fit(x):
-        """Exact coherent cost, phase offset and per-stripe gains at x."""
+        """Exact coherent residual, phase offset and per-stripe gains at x."""
         p, dt = unpack(x)
         xi_sum, fits = _ncp_fits(ws, p.reshape(1, 3), np.array([dt]), exact=True)
         dphi = np.angle(xi_sum)
-        cp, gains = _pinned_costs(ws, fits, dphi, exact=True)
-        return float(cp[0]), float(dphi[0]), [g[0] for g in gains]
+        gains = _pinned_costs(ws, fits, dphi, exact=True)
+        return _residuals(ws, fits, gains)[0], float(dphi[0]), [g[0] for g in gains]
 
     steps = np.concatenate([np.full(D, lam / 8.0), [1.0 / (8.0 * wf.bandwidth)]])
     runs = [
-        _nm_minimize(
-            lambda x: fit(x)[0],
-            np.concatenate([fine[idx][:D], [fine_dtau[idx]]]),
-            steps,
-            cfg.refine_maxiter,
-        )
+        _lm_refine(lambda x: fit(x)[0], np.concatenate([fine[idx][:D], [fine_dtau[idx]]]),
+                   steps, cfg.refine_maxiter)
         for idx in start_idx
     ]
-    x_best, _, nit, nfev, _ = min(runs, key=lambda r: r[1])
+    x_best, final_cost, nit, nfev, _ = min(runs, key=lambda r: r[1])
     p_best, dt_best = unpack(x_best)
-    final_cost, dphi_best, gains_cp = fit(x_best)
+    _, dphi_best, gains_cp = fit(x_best)
     rml_report = EstimateReport(
         stage="RML",
         ue_position=p_best,
@@ -820,9 +832,11 @@ def rml_position_search(obs, config: Optional[SearchConfig] = None) -> EstimateR
     peaks.  The coarse grid at the configured step is scored by the
     noncoherent cost only; the fine grid around its minimum is scored
     coherently, the phase offset re-estimated in closed form per cell.  A
-    simplex refinement of (position, clock offset) follows.  ``cost_trace``
-    is (best fine-cell cost, final cost, iterations, evaluations); the
-    refinement starts from that cell and never ends above its cost.
+    Levenberg-Marquardt refinement of (position, clock offset) on the
+    amplitude-eliminated residual follows.  ``cost_trace`` is (best
+    fine-cell cost, final cost, solver steps, residual evaluations); the
+    refinement starts from that cell and never ends above its cost.  Raises
+    SemanticError under ``sync_mode=ncp``.
     """
     return _position_stage(obs, config)[1]
 
@@ -837,7 +851,7 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
     ws = _Workspace(obs)
     pts = np.asarray(positions, float).reshape(-1, 3)
     xi_sum, fits = _ncp_fits(ws, pts, np.full(len(pts), float(delta_tau)))
-    return _pinned_costs(ws, fits, np.angle(xi_sum))[0]
+    return _pinned_costs(ws, fits, np.angle(xi_sum))
 
 
 # ---------------------------------------------------------------------------
@@ -906,33 +920,30 @@ def nst_map_scatterers(
     _require_null_space(ws)
     p_hat = np.asarray(p_hat, float).reshape(3)
 
-    def dip_costs(cands: np.ndarray) -> np.ndarray:
-        costs = []
-        for start in range(0, len(cands), _NST_CHUNK):
-            chunk = cands[start : start + _NST_CHUNK]
-            positions = np.broadcast_to(p_hat, chunk.shape)
-            dtaus = np.full(len(chunk), float(delta_tau_hat))
-            costs.append(_ncp_cost(ws, _ncp_fits(ws, positions, dtaus, chunk[:, None, :])[1]))
-        return np.concatenate(costs)
-
+    dtaus = np.full(_NST_CHUNK, float(delta_tau_hat))
     cands = _box_grid(ws.infra, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
-    costs = dip_costs(cands)
+    costs = []
+    for start in range(0, len(cands), _NST_CHUNK):
+        chunk = cands[start : start + _NST_CHUNK]
+        positions = np.broadcast_to(p_hat, chunk.shape)
+        fits = _ncp_fits(ws, positions, dtaus[: len(chunk)], chunk[:, None, :])[1]
+        costs.append(_ncp_cost(ws, fits))
+    costs = np.concatenate(costs)
     picked = _separated_minima(cands, costs, _NST_EXCLUSION_STEPS * config.step, J)
     if len(picked) < J:
         raise SearchFailure(
             f"found only {len(picked)} separated dips for {J} scatterers"
         )
 
-    estimates = []
-    for idx in picked:
-        x_best = _nm_minimize(
-            lambda x: float(dip_costs(x.reshape(1, 3))[0]),
-            cands[idx].copy(),
-            np.full(3, config.step / 2.0),
-            config.refine_maxiter,
-        )[0]
-        estimates.append(np.asarray(x_best, float))
-    return estimates
+    def dip_residual(x):
+        fits = _ncp_fits(ws, p_hat.reshape(1, 3), dtaus[:1], x.reshape(1, 3), exact=True)[1]
+        return _residuals(ws, fits, [fit.gains for fit in fits])[0]
+
+    steps = np.full(3, config.step / 2.0)
+    return [
+        _lm_refine(dip_residual, cands[idx].copy(), steps, config.refine_maxiter)[0]
+        for idx in picked
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -941,13 +952,15 @@ def nst_map_scatterers(
 
 
 def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateReport:
-    """Simplex refinement of all wanted parameters from a pipeline initialization.
+    """Joint refinement of all wanted parameters from a pipeline initialization.
 
-    Minimizes the amplitude-eliminated likelihood over position, clock
-    offset, phase offset and scatterer positions; falls back to the initial
-    point if the search cannot improve it, so the returned cost never
-    exceeds the initial one.
+    Levenberg-Marquardt on the amplitude-eliminated residual over position,
+    clock and phase offsets and scatterer positions, for at most about
+    ``maxiter`` steps; the returned cost never exceeds the initial one.
+    ``cost_trace`` is (initial cost, final cost, solver steps, residual
+    evaluations).  Raises SemanticError under ``sync_mode=ncp``.
     """
+    require_cp_sync(obs.scenario)
     ws = _Workspace(obs)
     infra = ws.infra
     D = infra.D
@@ -955,13 +968,8 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
     wf = infra.waveform
     x0 = initial.wanted().flat(D)
 
-    def objective(x):
-        eta = WantedParams.from_flat(x, D, z_fill)
-        try:
-            cost, _ = _jml_point(ws, eta)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            return np.inf
-        return cost
+    def residual(x):
+        return _jml_point(ws, WantedParams.from_flat(x, D, z_fill))[0]
 
     lam = wf.wavelength
     steps = np.concatenate(
@@ -971,7 +979,7 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
             np.full(3 * initial.sp_positions.shape[0], lam / 8.0),
         ]
     )
-    x_best, f_best, nit, nfev, f0 = _nm_minimize(objective, x0, steps, maxiter)
+    x_best, f_best, nit, nfev, f0 = _lm_refine(residual, x0, steps, maxiter)
     eta = WantedParams.from_flat(x_best, D, z_fill)
     _, gains = _jml_point(ws, eta)
     return EstimateReport(
@@ -995,9 +1003,9 @@ def run_pipeline(
     """Full estimation chain; returns one report per stage, in running order.
 
     Stages: noncoherent grid pick, coherent search with refinement, null-space
-    scatterer mapping at the coherent estimates, then joint simplex refinement
-    of everything from the NST report.  Each stage consumes only measured data
-    and the outputs of earlier stages.
+    scatterer mapping at the coherent estimates, then joint least-squares
+    refinement of everything from the NST report.  Each stage consumes only
+    measured data and earlier outputs.  Raises SemanticError under ncp sync.
     """
     ncp_report, rml_report = _position_stage(obs, search)
     sps = nst_map_scatterers(

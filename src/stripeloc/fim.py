@@ -480,6 +480,4 @@ def peb_heatmap(scenario, xs, ys, options: FimOptions, z: float | None = None) -
                 out[iy, ix] = compute_bounds(moved, options).peb
             except (DegenerateGeometry, SemanticError):
                 out[iy, ix] = np.nan
-            except SingularFim:  # pragma: no cover - compute_bounds degrades first
-                out[iy, ix] = np.inf
     return out

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SemanticError, StripelocError
-from .estimators import NstConfig, SearchConfig, run_pipeline
+from .errors import StripelocError
+from .estimators import NstConfig, SearchConfig, require_cp_sync, run_pipeline
 from .fim import FimOptions, SyncMode, compute_bounds, peb_heatmap
 from .geometry import SPEED_OF_LIGHT, wrap_angle
 from .scenario import Scenario, with_antennas, with_bandwidth, with_sdnr
@@ -270,17 +270,11 @@ def run_monte_carlo(
     thread count; any exception a trial raises is recorded in the table's
     failures, not raised.
 
-    Raises SemanticError for a ``sync_mode=ncp`` scenario: the estimators
-    model one phase offset shared by all stripes, so their estimates cannot
-    be scored against per-stripe phase offsets and the NCP bounds.
+    Raises SemanticError for a ``sync_mode=ncp`` scenario (``require_cp_sync``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if scenario.sync_mode is not SyncMode.CP:
-        raise SemanticError(
-            f"sync_mode={scenario.sync_mode.value}: the estimators model one phase "
-            "offset shared by all stripes; run estimation with sync_mode=cp"
-        )
+    require_cp_sync(scenario)
     entries: list = []
     failures: list = []
     records: list = []

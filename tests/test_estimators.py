@@ -17,11 +17,13 @@ import pytest
 
 import oracles
 
+from stripeloc import estimators
 from stripeloc.channel import DmcParams, Material, Scatterer
 from stripeloc.errors import (
     KernelEmpty,
     RankDeficient,
     SearchFailure,
+    SemanticError,
     ZeroAggregate,
 )
 from stripeloc.estimators import (
@@ -43,7 +45,7 @@ from stripeloc.estimators import (
     rml_position_search,
     run_pipeline,
 )
-from stripeloc.fim import SyncMode
+from stripeloc.fim import FimOptions, SyncMode, efim, global_fim
 from stripeloc.geometry import (
     SPEED_OF_LIGHT,
     Stripe,
@@ -52,6 +54,7 @@ from stripeloc.geometry import (
     path_delay,
     wrap_angle,
 )
+from stripeloc.harness import multipath_case
 from stripeloc.scenario import (
     Scenario,
     canonical_scenario,
@@ -290,6 +293,49 @@ def test_jml_cost_is_least_squares_infimum(est_scene, noisy_obs):
         for _ in range(10):
             x = x_ls + rng.standard_normal(x_ls.shape) * 0.1 * (np.abs(x_ls).max() + 1.0)
             assert float(np.sum((y_st - stacked @ x) ** 2)) >= m - 1e-9
+
+
+def _eliminated_residual(eta, obs) -> np.ndarray:
+    """Amplitude-eliminated residual of all stripes, from the explicit basis
+    and a generic stacked-real least-squares solve."""
+    parts = []
+    for n in range(len(obs)):
+        B = jml_basis(eta, obs, n)
+        y = whitened_vec(obs, n)
+        x = oracles.stacked_real_lstsq(list(B.B.T), y)
+        parts.append(np.concatenate([y.real, y.imag]) - B.stacked_real @ x)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("case", ["L--", "LRS"])
+def test_eliminated_residual_information_equals_efim(est_scene, case):
+    # at noise-free truth, 2 J^T J of the amplitude-eliminated residual is the
+    # Schur complement of the Fisher information over the path amplitudes and
+    # phases: the estimator's batched model and the scalar model behind the
+    # bounds must give the same equivalent FIM, in WantedParams.flat order
+    sc, _ = multipath_case(est_scene, case)
+    obs = synthesize(sc, rng_seed=11, noise_scale=0.0)
+    x0 = truth_params(sc).flat(sc.D)
+    h = np.concatenate([np.full(sc.D, 1e-6), [1e-13, 1e-5], np.full(3 * len(sc.scatterers), 1e-6)])
+    cols = []
+    for i in range(len(x0)):
+        e = np.zeros(len(x0))
+        e[i] = h[i]
+        r_plus, r_minus = (
+            _eliminated_residual(WantedParams.from_flat(x, sc.D, sc.ue_position[2]), obs)
+            for x in (x0 + e, x0 - e)
+        )
+        cols.append((r_plus - r_minus) / (2.0 * h[i]))
+    jac = np.column_stack(cols)
+    info = 2.0 * jac.T @ jac
+    E = efim(*global_fim(sc, FimOptions(sync_mode=SyncMode.CP, D=sc.D)))
+    d = np.sqrt(np.diag(E))
+    assert np.max(np.abs(info - E) / np.outer(d, d)) < 1e-6
+
+    def peb(F):
+        return math.sqrt(np.trace(np.linalg.inv(F)[: sc.D, : sc.D]))
+
+    assert abs(peb(info) - peb(E)) <= 1e-6 * peb(E)
 
 
 def test_jml_perturbed_position_costs_more(est_scene):
@@ -644,6 +690,64 @@ def test_jml_refine_never_raises_cost(est_scene, noisy_obs):
     assert out.cost_trace[0] >= out.cost_trace[1]
     # the start cost in the trace is the objective at the initial point
     assert abs(out.cost_trace[0] - f0) <= 1e-12 * abs(f0)
+
+
+def test_jml_refine_zero_steps_returns_start(est_scene, noisy_obs, monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("maxiter=0 must not start the solver")
+
+    monkeypatch.setattr(estimators, "least_squares", no_solver)
+    eta = truth_params(est_scene)
+    init = EstimateReport(
+        stage="NST",
+        ue_position=eta.position + np.array([0.004, -0.003, 0.0]),
+        clock_offset=eta.clock_offset,
+        phase_offset=eta.phase_offset,
+        sp_positions=eta.sp_positions + 0.05,
+        amplitudes=None,
+        cost=np.inf,
+    )
+    out = jml_refine(init, noisy_obs, maxiter=0)
+    f0 = jml_cost(init.wanted(), noisy_obs)
+    assert out.cost_trace[0] == out.cost_trace[1] == out.cost == f0
+    assert out.cost_trace[2] == 0
+    assert np.array_equal(out.ue_position, init.ue_position)
+    assert np.array_equal(out.sp_positions, init.sp_positions)
+    assert (out.clock_offset, out.phase_offset) == (init.clock_offset, init.phase_offset)
+
+
+def test_lm_refine_returns_start_when_residual_raises():
+    calls = []
+
+    def residual(x):
+        calls.append(x.copy())
+        if len(calls) > 2:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return np.array([x[0] - 1.0, 2.0 * x[1]])
+
+    x0 = np.array([0.5, 0.5])
+    x_best, f_best, nit, nfev, f0 = estimators._lm_refine(residual, x0, np.ones(2), 50)
+    assert np.array_equal(x_best, x0)
+    assert f_best == f0 == 1.25
+    assert nfev == len(calls) == 3
+
+
+@pytest.mark.parametrize("stage", ["position", "jml", "pipeline"])
+def test_estimators_refuse_ncp_sync(est_scene, stage):
+    # the estimators fit one phase offset shared by all stripes; under NCP
+    # sync they must refuse rather than silently fit the wrong model
+    sc = dataclasses.replace(est_scene, sync_mode=SyncMode.NCP)
+    obs = synthesize(sc, rng_seed=(5, 2))
+    eta = truth_params(sc)
+    init = EstimateReport("NST", eta.position, eta.clock_offset, eta.phase_offset,
+                          eta.sp_positions, None, np.inf)
+    call = {
+        "position": lambda: rml_position_search(obs),
+        "jml": lambda: jml_refine(init, obs, maxiter=5),
+        "pipeline": lambda: run_pipeline(obs),
+    }[stage]
+    with pytest.raises(SemanticError, match="one phase offset shared by all stripes"):
+        call()
 
 
 def test_run_pipeline_stage_contract(est_scene):
