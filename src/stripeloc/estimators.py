@@ -13,8 +13,9 @@ clock offset, phase offset, scatterer positions.  Path amplitudes and
 non-line-of-sight phases are nuisance parameters eliminated in closed form:
 per stripe, the model is linear in one real line-of-sight amplitude (its
 phase is pinned by the candidate position and phase offset) plus one free
-complex amplitude per remaining path, so a small least-squares solve per
-stripe compresses the likelihood onto the wanted parameters.
+complex amplitude per remaining path.  One small Hermitian solve per stripe,
+the free-gain fit, compresses the likelihood onto the wanted parameters; the
+phase-pinned fit is a closed-form rank-one correction of it.
 """
 
 from __future__ import annotations
@@ -183,11 +184,15 @@ def _gram_cross(u, a, zt):
 
 
 def _solve_psd(H, rhs):
-    """Minimum-norm solve of batched Hermitian PSD systems.
+    """Minimum-norm solve x = H^+ rhs of batched Hermitian PSD systems, and
+    from the same eigendecomposition H = V W V^H the column v = H^-1 e_0
+    (V^H e_0 is the conjugated first row of V).
 
-    Eigenvalues below _RANK_RTOL of the per-matrix maximum are truncated,
-    which keeps least-squares residuals nonnegative when response columns
-    (nearly) collide.  Returns (solution, rank).
+    Eigenvalues below _RANK_RTOL of the per-matrix maximum are truncated in
+    x, which keeps least-squares residuals nonnegative when response columns
+    (nearly) collide.  In v they are raised to that cutoff instead, so a
+    first column inside the span of the others makes v_0 huge rather than
+    dropping it (see ``_pinned_costs``).  Returns (x, v, rank).
     """
     w, V = np.linalg.eigh(H)
     wmax = np.maximum(w[..., -1:], 0.0)
@@ -195,33 +200,8 @@ def _solve_psd(H, rhs):
     inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     coef = np.einsum("...ij,...i->...j", V.conj(), rhs) * inv
     x = np.einsum("...ij,...j->...i", V, coef)
-    return x, keep.sum(axis=-1)
-
-
-def _cp_normal(H, q, los_phase):
-    """Real normal-equation system of the phase-pinned basis.
-
-    Columns: the LoS response rotated by ``los_phase`` with a real
-    coefficient, then a (c', jc') pair per remaining path (free complex
-    amplitude split into two real ones).  Works for any trailing path count,
-    so it serves both the LoS+RP basis and the full basis with scatterers.
-    Returns (G, rhs, factors, path_idx) with G[i,j] = Re{z_i^H z_j} and
-    rhs[i] = Re{z_i^H y'}.
-    """
-    L = H.shape[-1]
-    C = 2 * L - 1
-    batch = np.broadcast_shapes(H.shape[:-2], np.shape(los_phase))
-    f = np.empty(batch + (C,), dtype=complex)
-    f[..., 0] = np.exp(1j * np.asarray(los_phase))
-    f[..., 1::2] = 1.0
-    f[..., 2::2] = 1j
-    path_idx = np.zeros(C, dtype=int)
-    path_idx[1::2] = np.arange(1, L)
-    path_idx[2::2] = np.arange(1, L)
-    Hp = H[..., path_idx[:, None], path_idx[None, :]]
-    G = np.real(f.conj()[..., :, None] * f[..., None, :] * Hp)
-    rhs = np.real(f.conj() * q[..., path_idx])
-    return G, rhs, f, path_idx
+    v = np.einsum("...ij,...j->...i", V, V[..., 0, :].conj() / np.maximum(w, _RANK_RTOL * wmax))
+    return x, v, keep.sum(axis=-1)
 
 
 def _stripe_model(ws: _Workspace, n: int, positions, dtaus, sp_positions=None):
@@ -249,13 +229,16 @@ def _columns(u, a) -> np.ndarray:
     return (u[:, :, None] * a[:, None, :]).reshape(u.shape[0], -1).T
 
 
-def _require_full_rank(n: int, G, rank) -> None:
-    """Raise RankDeficient when stripe ``n``'s path responses collide."""
-    if int(rank) < G.shape[-1]:
-        w = np.linalg.eigvalsh(G)
+def _require_full_rank(n: int, H, rank) -> None:
+    """Raise RankDeficient when stripe ``n``'s path responses collide, read
+    from the complex Gram ``H`` and its rank: the phase-pinned basis (one real
+    LoS column, a (c', jc') pair per other path) is rank-deficient exactly
+    when the complex columns are linearly dependent."""
+    if int(rank) < H.shape[-1]:
+        w = np.linalg.eigvalsh(H)
         raise RankDeficient(
             f"stripe {n}: path responses are linearly dependent "
-            f"(rank {int(rank)}/{G.shape[-1]}, extreme eigenvalues "
+            f"(rank {int(rank)}/{H.shape[-1]}, extreme eigenvalues "
             f"{w[0]:.3e}/{w[-1]:.3e})"
         )
 
@@ -504,17 +487,19 @@ def coarse_clock_offset(p, obs, n_fft: Optional[int] = None) -> float:
 
 
 class _StripeFit(NamedTuple):
-    """One stripe's Gram system at batched candidates: Gram ``H``, cross ``q``,
-    geometric LoS delay, the factors ``u``/``a`` when kept, and the free-gain
-    solve (``gains``, ``rank``) of a noncoherent fit (``_ncp_fits``)."""
+    """One stripe's free-gain fit at batched candidates (``_ncp_fits``): Gram
+    ``H``, cross ``q``, geometric LoS delay, the factors ``u``/``a`` when kept,
+    the gains H^+ q, v = H^-1 e_0 (``_solve_psd``), which ``_pinned_costs``
+    needs, and the rank of H."""
 
     H: np.ndarray
     q: np.ndarray
     tau_los: np.ndarray
-    u: Optional[np.ndarray] = None
-    a: Optional[np.ndarray] = None
-    gains: Optional[np.ndarray] = None
-    rank: Optional[np.ndarray] = None
+    u: Optional[np.ndarray]
+    a: Optional[np.ndarray]
+    gains: np.ndarray
+    v: np.ndarray
+    rank: np.ndarray
 
 
 def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool = False):
@@ -522,8 +507,9 @@ def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool =
 
     Per stripe, every LoS and reflected path, and every scatterer path at
     ``sp_positions`` (passed on to ``_stripe_model``), gets a free complex
-    gain (``_stripe_model`` -> ``_gram_cross`` -> ``_solve_psd``); the LoS
-    gains, derotated by their geometric carrier phases and summed over
+    gain (``_stripe_model`` -> ``_gram_cross`` -> ``_solve_psd``, which also
+    returns v = H^-1 e_0 for ``_pinned_costs``); the
+    LoS gains, derotated by their geometric carrier phases and summed over
     stripes, point along the common phase offset.  Returns (xi_sum, fits).
     With one scatterer per candidate, ``_ncp_cost`` of the fits is the NST
     dip metric: by the Frisch-Waugh-Lovell identity the residual of the joint
@@ -538,10 +524,10 @@ def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool =
     for n in range(ws.n_stripes):
         u, a, tau_los = _stripe_model(ws, n, positions, dtaus, sp_positions)
         H, q = _gram_cross(u, a, ws.zt[n])
-        gains, rank = _solve_psd(H, q)
+        gains, v, rank = _solve_psd(H, q)
         xi_sum += gains[..., 0] * np.exp(1j * _TWO_PI * fc * tau_los)
         factors = (u, a) if exact else (None, None)
-        fits.append(_StripeFit(H, q, tau_los, *factors, gains, rank))
+        fits.append(_StripeFit(H, q, tau_los, *factors, gains, v, rank))
     return xi_sum, fits
 
 
@@ -555,61 +541,57 @@ def _ncp_cost(ws: _Workspace, fits) -> np.ndarray:
     return cost
 
 
-def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False, strict: bool = False):
-    """Coherent fit: each stripe's Gram system solved with its LoS phase pinned.
+def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
+    """Coherent fit: each stripe's free-gain fit with its LoS phase pinned.
 
-    The pin is the geometric carrier phase plus the phase offset ``dphi``
-    (``_cp_normal`` -> ``_solve_psd``).  Returns the cost, ||y'||^2 minus the
-    explained energy summed over stripes, or with ``exact`` the per-stripe
-    path gains, for ``_residuals`` of the fits.  ``strict`` raises
-    RankDeficient when a stripe's path responses collide.
+    The pin psi is the geometric carrier phase plus the phase offset
+    ``dphi``.  Pinning adds one real constraint, Im{e^{-j psi} g_0} = 0, to
+    the free-gain least squares of ``_ncp_fits``, so the pinned fit is a
+    rank-one correction of it and needs no solve: with v = H^-1 e_0 the cost
+    rises by Im{e^{-j psi} g_0}^2 / v_0, and the gains become
+    g - j e^{j psi} Im{e^{-j psi} g_0} v / v_0.  While the LoS column is
+    independent of the other paths' (anywhere off a wall plane) v_0 = 1/h,
+    h the LoS Schur complement, also with truncation among the other paths.
+    On a wall plane the LoS column equals that wall's reflection, the pin
+    constrains nothing, and ``_solve_psd``'s v makes the rise vanish and
+    moves the gains along the null direction.  Returns the cost, ||y'||^2
+    minus the explained energy summed over stripes, or with ``exact`` the
+    per-stripe path gains, for ``_residuals`` of the fits.
     """
     fc = ws.infra.waveform.fc
     cost = np.zeros(np.shape(dphi))
     gains = []
     for n, fit in enumerate(fits):
-        los_phase = -_TWO_PI * fc * fit.tau_los + dphi
-        G, rhs, _, _ = _cp_normal(fit.H, fit.q, los_phase)
-        x, rank = _solve_psd(G, rhs)
-        if strict:
-            _require_full_rank(n, G, rank)
-        if not exact:
-            cost += np.maximum(ws.ynorm2[n] - np.einsum("...c,...c->...", rhs, x), 0.0)
-            continue
-        g = np.empty(x.shape[:-1] + (fit.H.shape[-1],), dtype=complex)
-        g[..., 0] = x[..., 0] * np.exp(1j * np.asarray(los_phase))
-        g[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
-        gains.append(g)
+        pin = np.exp(1j * (dphi - _TWO_PI * fc * fit.tau_los))
+        off = np.imag(fit.gains[..., 0] * pin.conj())
+        v0 = np.real(fit.v[..., 0])
+        if exact:
+            gains.append(fit.gains - (1j * pin * off / v0)[..., None] * fit.v)
+        else:
+            explained = np.real(np.einsum("...l,...l->...", fit.q.conj(), fit.gains))
+            cost += np.maximum(ws.ynorm2[n] - explained + off**2 / v0, 0.0)
     return gains if exact else cost
 
 
-def _ncp_point(ws: _Workspace, p, delta_tau: float):
-    """``_ncp_fits`` at one candidate with factors, rank-checked: (xi_sum, fits)."""
+def _ncp_point(ws: _Workspace, p, delta_tau: float, sp_positions=None, strict: bool = True):
+    """``_ncp_fits`` at one candidate with factors, rank-checked when
+    ``strict``: (xi_sum, fits)."""
     positions = np.asarray(p, float).reshape(1, 3)
-    xi_sum, fits = _ncp_fits(ws, positions, np.array([float(delta_tau)]), exact=True)
-    for n, fit in enumerate(fits):
-        _require_full_rank(n, fit.H[0], fit.rank[0])
+    xi_sum, fits = _ncp_fits(ws, positions, np.array([float(delta_tau)]), sp_positions,
+                             exact=True)
+    if strict:
+        for n, fit in enumerate(fits):
+            _require_full_rank(n, fit.H[0], fit.rank[0])
     return complex(xi_sum[0]), fits
 
 
-def _jml_fits(ws: _Workspace, eta: WantedParams) -> list:
-    """Per-stripe Gram systems over LoS + reflected + scatterer paths at ``eta``."""
-    positions = eta.position.reshape(1, 3)
-    dtaus = np.array([eta.clock_offset])
-    fits = []
-    for n in range(ws.n_stripes):
-        # one candidate: drop the batch axis so the solve runs on plain matrices
-        model = _stripe_model(ws, n, positions, dtaus, eta.sp_positions)
-        u, a, tau_los = (x[0] for x in model)
-        fits.append(_StripeFit(*_gram_cross(u, a, ws.zt[n]), tau_los, u, a))
-    return fits
-
-
 def _jml_point(ws: _Workspace, eta: WantedParams, strict: bool = False):
-    """Amplitude-eliminated residual (``_residuals``) and gains at ``eta``."""
-    fits = _jml_fits(ws, eta)
-    gains = _pinned_costs(ws, fits, eta.phase_offset, exact=True, strict=strict)
-    return _residuals(ws, fits, gains), gains
+    """Amplitude-eliminated residual (``_residuals``) and per-stripe gains at
+    ``eta``: the free-gain fit over LoS + reflected + scatterer paths with
+    its LoS phase pinned."""
+    _, fits = _ncp_point(ws, eta.position, eta.clock_offset, eta.sp_positions, strict)
+    gains = _pinned_costs(ws, fits, eta.phase_offset, exact=True)
+    return _residuals(ws, fits, gains)[0], [g[0] for g in gains]
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +608,15 @@ def jml_basis(eta_w: WantedParams, obs, stripe_index: int) -> BasisMatrix:
     and for verifying the Gram-based solver against a dense one.
     """
     ws = _Workspace(obs)
-    fit = _jml_fits(ws, eta_w)[stripe_index]
-    los_phase = -_TWO_PI * ws.infra.waveform.fc * fit.tau_los + eta_w.phase_offset
-    _, _, f, path_idx = _cp_normal(fit.H, fit.q, los_phase)
-    return BasisMatrix(B=_columns(fit.u, fit.a)[:, path_idx] * f)
+    u, a, tau_los = _stripe_model(ws, stripe_index, eta_w.position.reshape(1, 3),
+                                  np.array([eta_w.clock_offset]), eta_w.sp_positions)
+    c = _columns(u[0], a[0])
+    pin = np.exp(1j * (eta_w.phase_offset - _TWO_PI * ws.infra.waveform.fc * tau_los[0]))
+    B = np.empty((c.shape[0], 2 * c.shape[1] - 1), dtype=complex)
+    B[:, 0] = pin * c[:, 0]
+    B[:, 1::2] = c[:, 1:]
+    B[:, 2::2] = 1j * c[:, 1:]
+    return BasisMatrix(B=B)
 
 
 def jml_amplitudes(eta_w: WantedParams, obs) -> list:
@@ -689,26 +676,36 @@ def _lm_refine(residual, x0: np.ndarray, steps: np.ndarray, maxiter: int):
     and the trust region both live in the scaled coordinates s (scipy's
     default Jacobian-norm scaling crept for hundreds of steps on NST dips).
     Returns (x_best, f_best, nit, nfev, f0): f = ||r||^2, nit the solver's
-    steps (capped near ``maxiter``), nfev every residual call.  ``x0`` comes
-    back when no step is allowed, when the residual raises LinAlgError, or
-    when the solver ends above f0."""
+    steps (capped near ``maxiter``), nfev every residual call.  f0 is read
+    from the solver's first residual call, which is at the start; only
+    without a solver run (``maxiter=0``) is the start evaluated directly.
+    After MINPACK stops, scipy 1.17's ``call_minpack`` still takes one more
+    forward-difference Jacobian at the returned point (``J = jac(x)``), and
+    no option skips those n calls.  ``x0`` comes back when no step is
+    allowed, when the residual raises LinAlgError after the start (at the
+    start it propagates), or when the solver ends above f0."""
     nfev = 0
+    f0 = None
 
     def scaled(s):
-        nonlocal nfev
+        nonlocal nfev, f0
         nfev += 1
-        return residual(x0 + steps * s)
+        r = residual(x0 + steps * s)
+        if f0 is None:
+            f0 = float(r @ r)
+        return r
 
     s0 = np.zeros(len(x0))
-    r0 = scaled(s0)
-    f0 = float(r0 @ r0)
     res = None
     if maxiter > 0:
         try:
             res = least_squares(scaled, s0, method="lm", ftol=_LM_TOL, xtol=_LM_TOL,
                                 gtol=_LM_TOL, x_scale=1.0, max_nfev=maxiter)
         except np.linalg.LinAlgError:
-            pass
+            if f0 is None:
+                raise
+    else:
+        scaled(s0)
     nit = 0 if res is None else int(res.nfev)
     if res is None or 2.0 * res.cost > f0:
         return x0, f0, nit, nfev, f0

@@ -256,18 +256,27 @@ def test_jml_amplitudes_noise_free_recovery(est_scene, clean_obs):
 
 
 def test_jml_amplitudes_match_stacked_real_oracle(est_scene, noisy_obs):
-    eta = truth_params(est_scene)
-    gains = jml_amplitudes(eta, noisy_obs)
-    for n in range(len(est_scene.stripes)):
-        B = jml_basis(eta, noisy_obs, n)
-        x = oracles.stacked_real_lstsq(list(B.B.T), whitened_vec(noisy_obs, n))
-        g_oracle = np.empty((B.n_columns + 1) // 2, dtype=complex)
-        fc = est_scene.waveform.fc
-        tau_los = enumerate_paths(est_scene, n)[0].delay
-        phase = -2.0 * math.pi * fc * tau_los + eta.phase_offset
-        g_oracle[0] = x[0] * np.exp(1j * phase)
-        g_oracle[1:] = x[1::2] + 1j * x[2::2]
-        np.testing.assert_allclose(gains[n], g_oracle, rtol=1e-8, atol=1e-12)
+    # at truth and off it, where the pinned LoS phase disagrees with the data
+    # and the pinned gains differ from the free-gain fit's
+    truth = truth_params(est_scene)
+    off_truth = WantedParams(
+        position=truth.position + np.array([0.004, -0.003, 0.0]),
+        clock_offset=truth.clock_offset + 1e-10,
+        phase_offset=truth.phase_offset + 0.3,
+        sp_positions=truth.sp_positions + 0.05,
+    )
+    fc = est_scene.waveform.fc
+    for eta in (truth, off_truth):
+        gains = jml_amplitudes(eta, noisy_obs)
+        for n, stripe in enumerate(est_scene.stripes):
+            B = jml_basis(eta, noisy_obs, n)
+            x = oracles.stacked_real_lstsq(list(B.B.T), whitened_vec(noisy_obs, n))
+            g_oracle = np.empty((B.n_columns + 1) // 2, dtype=complex)
+            tau_los = np.linalg.norm(eta.position - stripe.phase_center) / SPEED_OF_LIGHT
+            phase = -2.0 * math.pi * fc * tau_los + eta.phase_offset
+            g_oracle[0] = x[0] * np.exp(1j * phase)
+            g_oracle[1:] = x[1::2] + 1j * x[2::2]
+            np.testing.assert_allclose(gains[n], g_oracle, rtol=1e-8, atol=1e-12)
 
 
 def test_jml_cost_is_least_squares_infimum(est_scene, noisy_obs):
@@ -411,6 +420,39 @@ def test_cp_cost_equals_ncp_cost_single_stripe():
     _, ncp_cost = rml_ncp_amplitudes_and_cost(p, dt, obs)
     cp = float(cp_cost_slice(obs, p.reshape(1, 3), dt)[0])
     assert abs(cp - ncp_cost) <= 1e-9 * (1.0 + ncp_cost)
+
+
+def test_cp_cost_slice_matches_pinned_stacked_real_oracle(est_scene, noisy_obs):
+    # off truth, with several stripes, the re-estimated phase offset cannot
+    # absorb every stripe's LoS phase pin, so the coherent cost rises above
+    # the noncoherent one; it must equal the explicit phase-pinned least
+    # squares at the phase offset estimate_phase_offset gives
+    lam = est_scene.waveform.wavelength
+    dt = est_scene.clock_offset
+    direction = np.array([0.8, 0.6, 0.0])
+    pts = est_scene.ue_position + np.outer(np.arange(1, 6) * lam / 8.0, direction)
+    costs = cp_cost_slice(noisy_obs, pts, dt)
+    for p, cost in zip(pts, costs):
+        eta = WantedParams(p, dt, estimate_phase_offset(p, dt, noisy_obs), np.empty((0, 3)))
+        r = _eliminated_residual(eta, noisy_obs)
+        assert abs(cost - r @ r) <= 1e-9 * (r @ r)
+        _, ncp_cost = rml_ncp_amplitudes_and_cost(p, dt, noisy_obs)
+        assert cost > ncp_cost * (1.0 + 1e-6)
+
+
+def test_cp_cost_slice_on_wall_plane_matches_stacked_real_oracle():
+    # on the plane of a wall that carries no stripe, every stripe's LoS column
+    # equals that wall's reflection, so the pinned LoS phase constrains
+    # nothing: any phase offset gives the same explicit least-squares
+    # residual, and the coherent cost must equal it
+    sc = small_scene(n_stripes=2)
+    assert {s.mounted_wall for s in sc.stripes} == {0, 1}
+    obs = synthesize(sc, rng_seed=14)
+    wall = sc.walls[2]
+    p = sc.ue_position - ((sc.ue_position - wall.point) @ wall.normal) * wall.normal
+    cost = float(cp_cost_slice(obs, p.reshape(1, 3), sc.clock_offset)[0])
+    r = _eliminated_residual(WantedParams(p, sc.clock_offset, 0.0, np.empty((0, 3))), obs)
+    assert abs(cost - r @ r) <= 1e-9 * (r @ r)
 
 
 # ---------------------------------------------------------------------------
