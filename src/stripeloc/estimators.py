@@ -14,7 +14,9 @@ non-line-of-sight phases are nuisance parameters eliminated in closed form:
 per stripe, the model is linear in one real line-of-sight amplitude (its
 phase is pinned by the candidate position and phase offset) plus one free
 complex amplitude per remaining path.  One small Hermitian solve per stripe,
-the free-gain fit, compresses the likelihood onto the wanted parameters; the
+the free-gain fit, compresses the likelihood onto the wanted parameters: a
+Cholesky factorization certified full-rank, else a truncated
+eigendecomposition where response columns (nearly) collide.  The
 phase-pinned fit is a closed-form rank-one correction of it.
 """
 
@@ -183,9 +185,52 @@ def _gram_cross(u, a, zt):
     return H, q
 
 
+def _cholesky_members(H):
+    """Cholesky factors of a (B, L, L) Hermitian stack and which members
+    factored.  numpy raises for the whole stack when one member is not
+    positive definite, so a failing stack is halved until its failures are
+    isolated; a failed member gets the identity as its factor."""
+    try:
+        return np.linalg.cholesky(H), np.ones(len(H), bool)
+    except np.linalg.LinAlgError:
+        if len(H) == 1:
+            return np.eye(H.shape[-1], dtype=H.dtype)[None], np.zeros(1, bool)
+        half = len(H) // 2
+        (C0, ok0), (C1, ok1) = _cholesky_members(H[:half]), _cholesky_members(H[half:])
+        return np.concatenate([C0, C1]), np.concatenate([ok0, ok1])
+
+
 def _solve_psd(H, rhs):
     """Minimum-norm solve x = H^+ rhs of batched Hermitian PSD systems, and
-    from the same eigendecomposition H = V W V^H the column v = H^-1 e_0
+    the column v = H^-1 e_0 (``_pinned_costs``).  Returns (x, v, rank).
+
+    Each member is factored H = L L^H and certified when 1/||L^-1||_F^2 >
+    _RANK_RTOL tr H: since ||L^-1||_F^2 = tr H^-1, that proves its smallest
+    eigenvalue exceeds _RANK_RTOL of its largest, so the truncated solve of
+    ``_eigh_solve`` would drop nothing, and x = L^-H L^-1 rhs, v = L^-H L^-1
+    e_0 at full rank.  Members that fail to factor or to certify, where
+    response columns (nearly) collide, go through ``_eigh_solve``.
+    """
+    shape = H.shape
+    H = H.reshape((-1,) + shape[-2:])
+    rhs = rhs.reshape(H.shape[:-1])
+    C, ok = _cholesky_members(H)
+    Ci = np.linalg.inv(C)
+    Cih = np.swapaxes(Ci.conj(), -1, -2)
+    x = (Cih @ (Ci @ rhs[..., None]))[..., 0]
+    v = (Cih @ Ci[..., :1])[..., 0]
+    trace = np.real(np.trace(H, axis1=-2, axis2=-1))
+    ok &= np.sum(np.abs(Ci) ** 2, axis=(-2, -1)) * (_RANK_RTOL * trace) < 1.0
+    rank = np.full(len(H), shape[-1])
+    fallback = ~ok
+    if fallback.any():
+        x[fallback], v[fallback], rank[fallback] = _eigh_solve(H[fallback], rhs[fallback])
+    return x.reshape(shape[:-1]), v.reshape(shape[:-1]), rank.reshape(shape[:-2])
+
+
+def _eigh_solve(H, rhs):
+    """``_solve_psd`` by the eigendecomposition H = V W V^H, for members that
+    may be rank-deficient; v = H^-1 e_0 comes from the same decomposition
     (V^H e_0 is the conjugated first row of V).
 
     Eigenvalues below _RANK_RTOL of the per-matrix maximum are truncated in
@@ -360,11 +405,16 @@ class SearchConfig:
     The coherent cost oscillates on the wavelength scale with basins only a
     fraction of a wavelength wide, far narrower than any affordable full-room
     grid, so the coarse grid at ``step`` is scored by the smooth noncoherent
-    cost only.  A fine grid (step lambda/40, lambda/12 in 3-D, reaching
-    ``fine_span_wavelengths`` wavelengths out per axis) centered on its
-    minimum is scored coherently, and a Levenberg-Marquardt refinement of at
-    most about ``refine_maxiter`` solver steps runs from each of the
-    ``n_starts`` best fine cells at least half a wavelength apart.
+    cost only.  Its narrowest lobe, the smaller of the delay resolution c/B
+    and a stripe's angular lobe lambda r / (M d) at the grid's closest
+    approach r, sets a stride k that samples it at least 4 times: every k-th
+    grid coordinate per axis is scored, then every grid point within k steps
+    of that sub-grid's best cell (k = 1, the whole grid, when ``step`` is
+    coarse or a stripe is near).  A fine grid (step lambda/40, lambda/12 in
+    3-D, reaching ``fine_span_wavelengths`` wavelengths out per axis)
+    centered on its minimum is scored coherently, and a Levenberg-Marquardt
+    refinement of at most about ``refine_maxiter`` solver steps runs from
+    each of the ``n_starts`` best fine cells at least half a wavelength apart.
     """
 
     step: Optional[float] = None
@@ -419,11 +469,12 @@ def _mesh(axes, height) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _box_grid(infra: Infrastructure, step: float, margin: float, box, z_range):
-    """Grid points at ``step`` over ``box`` shrunk by ``margin`` on each side.
+def _box_axes(infra: Infrastructure, step: float, margin: float, box, z_range) -> list:
+    """Per-axis coordinates at ``step`` over ``box`` shrunk by ``margin`` on each side.
 
     Without a box the room footprint is used, plus an unshrunk z axis over
-    ``z_range``; ``z_range=None`` asks for a grid at the known UE height.
+    ``z_range``; ``z_range=None`` asks for x and y only, the grid sitting at
+    the known UE height.
     """
     extra = []
     if box is None:
@@ -433,7 +484,26 @@ def _box_grid(infra: Infrastructure, step: float, margin: float, box, z_range):
     axes = [_grid_1d(lo + margin, hi - margin, step) for lo, hi in box] + extra
     if not axes or any(ax.size == 0 for ax in axes):
         raise SearchFailure("empty search grid; widen the box or reduce the margin")
-    return _mesh(axes if z_range is not None else axes[:2], infra.known_height)
+    return axes if z_range is not None else axes[:2]
+
+
+def _decimation(infra: Infrastructure, axes, step: float) -> int:
+    """Stride k of the coarse scan's sub-lattice over the ``step`` lattice
+    ``axes``: the narrowest noncoherent lobe over the grid, the smaller of the
+    delay resolution c/B and each stripe's angular lobe lambda r / (M d) at
+    its closest approach r to the grid, is sampled at least 4 times."""
+    wf = infra.waveform
+    centers = np.array([s.phase_center for s in infra.stripes])
+    near = centers.copy()
+    if len(axes) == 2:
+        near[:, 2] = infra.known_height
+    near[:, : len(axes)] = np.clip(
+        centers[:, : len(axes)], [ax[0] for ax in axes], [ax[-1] for ax in axes]
+    )
+    apertures = np.array([s.num_antennas * s.spacing for s in infra.stripes])
+    lobes = wf.wavelength * np.linalg.norm(near - centers, axis=1) / apertures
+    width = min(SPEED_OF_LIGHT / wf.bandwidth, float(lobes.min()))
+    return max(1, int(width // (4.0 * step)))
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +793,54 @@ def _separated_minima(points, costs, min_sep: float, count: int) -> list:
     return picked
 
 
+def _scan(ws: _Workspace, tie, points, coherent: bool = False):
+    """Chunked noncoherent fits over ``points`` with clock offsets ``tie``:
+    the best (cost, point, clock offset, phase offset, index), then, only
+    when ``coherent``, every point's pinned-phase cost and clock offset (else
+    empty lists)."""
+    best = (np.inf,)
+    cps, dts = [], []
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        dtaus = tie(chunk)
+        xi_sum, fits = _ncp_fits(ws, chunk, dtaus)
+        dphi = np.angle(xi_sum)
+        ncp = _ncp_cost(ws, fits)
+        k = int(np.argmin(ncp))
+        if ncp[k] < best[0]:
+            best = (float(ncp[k]), chunk[k], float(dtaus[k]), float(dphi[k]), start + k)
+        if coherent:
+            cps.append(_pinned_costs(ws, fits, dphi))
+            dts.append(dtaus)
+        # free this chunk's Gram systems before the next chunk builds its own
+        del fits
+    return best, cps, dts
+
+
+def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
+    """Best noncoherent cell of the coarse lattice at ``cfg.step``, as
+    ``_scan`` reports it.
+
+    The noncoherent cost is smooth on the scale of its narrowest lobe, so
+    the sub-lattice of every ``_decimation``-th coordinate per axis is scored
+    first, then every lattice point within that stride of its best cell; the
+    better of the two wins.  Each scored point is a lattice point, taken from
+    the same per-axis coordinates.
+    """
+    infra = ws.infra
+    step = cfg.step if cfg.step is not None else infra.waveform.wavelength / 4.0
+    axes = _box_axes(infra, step, cfg.margin, cfg.box, _Z_RANGE if infra.D == 3 else None)
+    k = _decimation(infra, axes, step)
+    sub = [ax[::k] for ax in axes]
+    best = _scan(ws, tie, _mesh(sub, infra.known_height))[0]
+    if k > 1:
+        cell = np.unravel_index(best[4], [len(ax) for ax in sub])
+        near = [ax[max(0, k * i - k) : k * i + k + 1] for ax, i in zip(axes, cell)]
+        polish = _scan(ws, tie, _mesh(near, infra.known_height))[0]
+        best = min(best, polish, key=lambda b: b[0])
+    return best
+
+
 def _position_stage(obs, cfg: Optional[SearchConfig]):
     """Shared grid scan feeding both the noncoherent and coherent reports."""
     require_cp_sync(obs.scenario)
@@ -734,32 +852,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     lam = wf.wavelength
     D = infra.D
     tie = _clock_tie(obs)
-
-    def scan(points, coherent: bool = False):
-        """Chunked noncoherent fits over ``points``: the best (cost, point,
-        clock offset, phase offset), then, only when ``coherent``, every
-        point's pinned-phase cost and clock offset (else empty lists)."""
-        best = (np.inf,)
-        cps, dts = [], []
-        for start in range(0, len(points), _CHUNK):
-            chunk = points[start : start + _CHUNK]
-            dtaus = tie(chunk)
-            xi_sum, fits = _ncp_fits(ws, chunk, dtaus)
-            dphi = np.angle(xi_sum)
-            ncp = _ncp_cost(ws, fits)
-            k = int(np.argmin(ncp))
-            if ncp[k] < best[0]:
-                best = (float(ncp[k]), chunk[k], float(dtaus[k]), float(dphi[k]))
-            if coherent:
-                cps.append(_pinned_costs(ws, fits, dphi))
-                dts.append(dtaus)
-            # free this chunk's Gram systems before the next chunk builds its own
-            del fits
-        return best, cps, dts
-
-    step = cfg.step if cfg.step is not None else lam / 4.0
-    coarse = _box_grid(infra, step, cfg.margin, cfg.box, _Z_RANGE if D == 3 else None)
-    coarse_ncp = scan(coarse)[0]
+    coarse_ncp = _coarse_pick(ws, tie, cfg)
 
     # fine coherent pass around the noncoherent pick: the coherent basins are
     # narrower than the coarse step, so resolve them before refining
@@ -768,7 +861,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     center = coarse_ncp[1]
     offsets = np.arange(-span, span + 0.5 * fine_step, fine_step)
     fine = _mesh([c + offsets for c in center[:D]], center[2])
-    fine_ncp, fine_cp, fine_dtau = scan(fine, coherent=True)
+    fine_ncp, fine_cp, fine_dtau = _scan(ws, tie, fine, coherent=True)
     fine_cp, fine_dtau = np.concatenate(fine_cp), np.concatenate(fine_dtau)
 
     # refinement starts: best fine cells at least half a wavelength apart,
@@ -776,7 +869,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     start_idx = _separated_minima(fine, fine_cp, 0.5 * lam, max(1, cfg.n_starts))
 
     # noncoherent stage report (grid resolution only; its cost is smooth)
-    ncp_cost, p_ncp, dt_ncp, dphi_ncp = min(coarse_ncp, fine_ncp, key=lambda b: b[0])
+    ncp_cost, p_ncp, dt_ncp, dphi_ncp, _ = min(coarse_ncp, fine_ncp, key=lambda b: b[0])
     ncp_report = EstimateReport(
         stage="RML-NCP",
         ue_position=p_ncp,
@@ -827,7 +920,9 @@ def rml_position_search(obs, config: Optional[SearchConfig] = None) -> EstimateR
 
     Every grid cell's clock offset is tied to it through the delay-domain
     peaks.  The coarse grid at the configured step is scored by the
-    noncoherent cost only; the fine grid around its minimum is scored
+    noncoherent cost only, on a sub-grid decimated to the cost's narrowest
+    lobe plus the full-resolution cells around its best point (see
+    ``SearchConfig``); the fine grid around its minimum is scored
     coherently, the phase offset re-estimated in closed form per cell.  A
     Levenberg-Marquardt refinement of (position, clock offset) on the
     amplitude-eliminated residual follows.  ``cost_trace`` is (best
@@ -918,7 +1013,8 @@ def nst_map_scatterers(
     p_hat = np.asarray(p_hat, float).reshape(3)
 
     dtaus = np.full(_NST_CHUNK, float(delta_tau_hat))
-    cands = _box_grid(ws.infra, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
+    axes = _box_axes(ws.infra, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
+    cands = _mesh(axes, ws.infra.known_height)
     costs = []
     for start in range(0, len(cands), _NST_CHUNK):
         chunk = cands[start : start + _NST_CHUNK]

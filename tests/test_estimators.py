@@ -61,6 +61,7 @@ from stripeloc.scenario import (
     estimation_scenario,
     rect_room_walls,
     wall_midpoint_stripes,
+    with_sdnr,
 )
 from stripeloc.signal import (
     ObservationSet,
@@ -455,6 +456,79 @@ def test_cp_cost_slice_on_wall_plane_matches_stacked_real_oracle():
     assert abs(cost - r @ r) <= 1e-9 * (r @ r)
 
 
+@pytest.mark.parametrize("offset, rtol", [(1e-3, 2e-9), (1e-4, 1e-7)])
+def test_cp_cost_slice_near_wall_plane_matches_stacked_real_oracle(est_scene, offset, rtol):
+    # just off a wall plane the LoS column and that wall's reflection are
+    # nearly collinear, so the pinned correction Im{.}^2 / v_0 is a ratio of
+    # large, nearly cancelling terms; it must still match the dense solve
+    obs = synthesize(est_scene, rng_seed=(4, 0, 0))
+    wall = est_scene.walls[0]
+    ue = est_scene.ue_position
+    p = ue - ((ue - wall.point) @ wall.normal - offset) * wall.normal
+    dt = est_scene.clock_offset
+    cost = float(cp_cost_slice(obs, p.reshape(1, 3), dt)[0])
+    eta = WantedParams(p, dt, estimate_phase_offset(p, dt, obs), np.empty((0, 3)))
+    r = _eliminated_residual(eta, obs)
+    assert abs(cost - r @ r) <= rtol * (r @ r)
+
+
+# ---------------------------------------------------------------------------
+# batched Hermitian solves
+# ---------------------------------------------------------------------------
+
+
+def _gram_batch(seed: int, B: int = 8, L: int = 4):
+    """Complex response matrices (B, 30, L) with their Grams and cross terms."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((B, 30, L)) + 1j * rng.standard_normal((B, 30, L))
+    y = rng.standard_normal((B, 30)) + 1j * rng.standard_normal((B, 30))
+    return X, y
+
+
+def _gram(X, y):
+    Xh = np.swapaxes(X.conj(), -1, -2)
+    return Xh @ X, (Xh @ y[..., None])[..., 0]
+
+
+def _assert_solves_close(got, want, members, rtol=1e-12):
+    for g, w in zip(got[:2], want[:2]):
+        for b in members:
+            assert np.linalg.norm(g[b] - w[b]) <= rtol * np.linalg.norm(w[b])
+    np.testing.assert_array_equal(got[2][members], want[2][members])
+
+
+def test_solve_psd_cholesky_matches_eigh():
+    H, q = _gram(*_gram_batch(3))
+    _assert_solves_close(estimators._solve_psd(H, q), estimators._eigh_solve(H, q), range(8))
+    assert (estimators._solve_psd(H, q)[2] == 4).all()
+
+
+def test_solve_psd_falls_back_to_eigh_per_member(monkeypatch):
+    # member 5 has two equal columns; in member 6 one column is another plus
+    # 1e-6 of an independent one, which factors but cannot be certified; only
+    # those two go through eigh and reproduce its truncation bit for bit
+    X, y = _gram_batch(4)
+    X[5, :, 2] = X[5, :, 1]
+    X[6, :, 3] = X[6, :, 0] + 1e-6 * y[0]
+    H, q = _gram(X, y)
+    eigh_solve = estimators._eigh_solve
+    seen = []
+
+    def counted(H, rhs):
+        seen.append(len(H))
+        return eigh_solve(H, rhs)
+
+    monkeypatch.setattr(estimators, "_eigh_solve", counted)
+    got = estimators._solve_psd(H, q)
+    assert seen == [2]
+    for b in (5, 6):
+        want = eigh_solve(H[b : b + 1], q[b : b + 1])
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g[b], w[0])
+        assert got[2][b] == 3
+    _assert_solves_close(got, eigh_solve(H, q), [0, 1, 2, 3, 4, 7])
+
+
 # ---------------------------------------------------------------------------
 # phase offset and coarse clock
 # ---------------------------------------------------------------------------
@@ -592,6 +666,25 @@ def test_rml_position_search_empty_grid(est_scene, clean_obs):
     cfg = SearchConfig(box=((0.0, 0.1), (0.0, 0.1)), margin=0.3)
     with pytest.raises(SearchFailure):
         rml_position_search(clean_obs, cfg)
+
+
+@pytest.mark.parametrize("sdnr_db", [0.0, 20.0])
+def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
+    # the coarse scan scores a decimated sub-lattice plus a full-resolution
+    # polish around its best cell; its pick must be the best point of the
+    # whole lattice, scored here point by point
+    obs = synthesize(with_sdnr(est_scene, sdnr_db), rng_seed=(8, 1))
+    cfg = SearchConfig(box=((2.2, 3.9), (2.0, 3.7)), margin=0.0)
+    ws = estimators._Workspace(obs)
+    tie = estimators._clock_tie(obs)
+    step = est_scene.waveform.wavelength / 4.0
+    axes = estimators._box_axes(ws.infra, step, cfg.margin, cfg.box, None)
+    assert estimators._decimation(ws.infra, axes, step) > 1
+    lattice = estimators._mesh(axes, ws.infra.known_height)
+    costs = estimators._ncp_cost(ws, estimators._ncp_fits(ws, lattice, tie(lattice))[1])
+    pick = estimators._coarse_pick(ws, tie, cfg)
+    np.testing.assert_array_equal(pick[1], lattice[np.argmin(costs)])
+    assert abs(pick[0] - costs.min()) <= 1e-12 * costs.min()
 
 
 def test_rml_refine_scan_and_jml_costs_agree(noisy_obs):
