@@ -263,18 +263,21 @@ class DisturbanceCov:
 
     # -- operator forms -------------------------------------------------
 
-    def whiten_matrix(self, Y: np.ndarray) -> np.ndarray:
-        """Apply R^{-1/2} to an M x K observation matrix (returns Y Q^{-T/2})."""
-        return Y @ self.q_isqrt.T
-
     def whiten_vec(self, y: np.ndarray) -> np.ndarray:
         """Apply R^{-1/2} to a length-MK vector (antenna-fastest layout)."""
         Yt = np.asarray(y).reshape(self.K, self.M)
         return (self.q_isqrt @ Yt).reshape(-1)
 
     def whiten_freq(self, u: np.ndarray) -> np.ndarray:
-        """Apply the K-side factor Q^{-1/2} to K-vectors (or K x n column stacks)."""
-        return self.q_isqrt @ u
+        """Apply the K-side factor Q^{-1/2} to a K-vector or to each row of a
+        (..., K) stack, u Q^{-T/2}; on an M x K observation matrix this is
+        R^{-1/2} applied to its antenna-fastest vectorization.
+
+        Each row is a separate vector-matrix product, so a row gets the same
+        bits in a stack as alone (one stacked matrix product rounds
+        differently, and was no faster on the estimators' batches).
+        """
+        return (u[..., None, :] @ self.q_isqrt.T)[..., 0, :]
 
     def color_noise(self, Z: np.ndarray) -> np.ndarray:
         """Map an M x K iid CN(0,1) matrix to disturbance with covariance Q kron I_M."""

@@ -18,6 +18,12 @@ the free-gain fit, compresses the likelihood onto the wanted parameters: a
 Cholesky factorization certified full-rank, else a truncated
 eigendecomposition where response columns (nearly) collide.  The
 phase-pinned fit is a closed-form rank-one correction of it.
+
+The whitened path responses come from the signal layer's batched
+``whitened_response_parts`` and the reflections from ``geometry.mirror_ue``,
+the same code the bounds and the synthesis run; only the angles of arrival
+and path delays are computed here in batched form (numpy's arctan2 and
+axis-wise norms round differently from the scalar ``geometry`` functions).
 """
 
 from __future__ import annotations
@@ -38,13 +44,16 @@ from .errors import (
     ZeroAggregate,
 )
 from .fim import SyncMode
-from .geometry import SPEED_OF_LIGHT, reflecting_walls, rot_z, wrap_angle
+from .geometry import SPEED_OF_LIGHT, mirror_ue, reflecting_walls, rot_z, wrap_angle
+from .signal import whitened_response_parts
 
 _TWO_PI = 2.0 * math.pi
 # singular values below this fraction of the largest are treated as zero
 _RANK_RTOL = 1e-10
-# candidates per batched cost evaluation in the position scan
-_CHUNK = 2048
+# candidates per batched fit in every scan: each candidate carries its own
+# factors and Gram systems, so a chunk bounds the memory; 1024 scores as
+# fast as 2048, with the same bits, at about half the traced peak
+_CHUNK = 1024
 # z extent of the 3-D position grid when no box is given
 _Z_RANGE = (0.3, 2.2)
 # scatterer grid: room footprint shrunk by this margin, this z extent, and
@@ -52,9 +61,6 @@ _Z_RANGE = (0.3, 2.2)
 _NST_MARGIN = 0.3
 _NST_Z_RANGE = (0.2, 2.6)
 _NST_EXCLUSION_STEPS = 3
-# scatterer candidates per batched fit: every candidate carries its own
-# LoS + RP + scatterer factors, so the grid is scored in chunks
-_NST_CHUNK = 1024
 # Levenberg-Marquardt ftol, xtol and gtol of every refine; at 1e-10 JML
 # stopped up to 6.5e-10 relative above a derivative-free search's costs
 _LM_TOL = 1e-12
@@ -63,23 +69,6 @@ _LM_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # Known-side view of the scenario
 # ---------------------------------------------------------------------------
-
-
-class Infrastructure:
-    """What the network knows: stripes, walls, waveform, noise statistics.
-
-    Deliberately excludes every ground-truth field of the scenario, so code
-    written against this view cannot leak the answer into an estimator.  The
-    UE height is exposed only in 2-D mode, where it is known by assumption.
-    """
-
-    def __init__(self, scenario, disturbances):
-        self.waveform = scenario.waveform
-        self.stripes = tuple(scenario.stripes)
-        self.walls = tuple(scenario.walls)
-        self.disturbances = list(disturbances)
-        self.D = int(scenario.D)
-        self.known_height = float(scenario.ue_position[2]) if self.D == 2 else None
 
 
 def require_cp_sync(scenario) -> None:
@@ -94,10 +83,23 @@ def require_cp_sync(scenario) -> None:
 
 
 class _Workspace:
-    """Per-call bundle of infrastructure plus whitened observations."""
+    """What the network knows, plus the whitened observations of one call.
+
+    The known side is the waveform, stripes, walls, disturbance statistics,
+    the dimension D and, in 2-D mode only, the UE height (known by
+    assumption).  Every ground-truth field of the scenario is deliberately
+    left out, so code written against this view cannot leak the answer into
+    an estimator.
+    """
 
     def __init__(self, obs):
-        self.infra = Infrastructure(obs.scenario, obs.disturbances)
+        scenario = obs.scenario
+        self.waveform = scenario.waveform
+        self.stripes = tuple(scenario.stripes)
+        self.walls = tuple(scenario.walls)
+        self.disturbances = list(obs.disturbances)
+        self.D = int(scenario.D)
+        self.known_height = float(scenario.ue_position[2]) if self.D == 2 else None
         # whitened observations, transposed to K x M for the batched products
         self.zt = [obs.whitened(n).T for n in range(len(obs))]
         self.ynorm2 = [float(np.sum(np.abs(z) ** 2)) for z in self.zt]
@@ -112,17 +114,14 @@ class _Workspace:
 # ---------------------------------------------------------------------------
 
 
-def _wrap_array(x):
-    return np.pi - np.mod(np.pi - np.asarray(x, float), _TWO_PI)
-
-
 def _aoa_batch(targets: np.ndarray, stripe) -> np.ndarray:
-    """Angles of arrival of (..., 3) targets in the stripe's local frame."""
+    """Angles of arrival of (..., 3) targets in the stripe's local frame
+    (``geometry.aoa`` batched, with numpy's arctan2)."""
     local = (targets - stripe.phase_center) @ rot_z(stripe.azimuth)
-    return _wrap_array(0.5 * np.pi - np.arctan2(local[..., 1], local[..., 0]))
+    return wrap_angle(0.5 * np.pi - np.arctan2(local[..., 1], local[..., 0]))
 
 
-def _los_rp_geometry(infra: Infrastructure, n: int, positions: np.ndarray):
+def _los_rp_geometry(ws: _Workspace, n: int, positions: np.ndarray):
     """Angles and geometric delays of LoS + reflected paths, batched.
 
     ``positions`` has shape (..., 3); returns (thetas, delays) each of shape
@@ -130,46 +129,24 @@ def _los_rp_geometry(infra: Infrastructure, n: int, positions: np.ndarray):
     stripe's own wall skipped).  Reflections are handled through the mirror
     image, whose direction from the stripe coincides with the arrival ray.
     """
-    stripe = infra.stripes[n]
+    stripe = ws.stripes[n]
     pc = stripe.phase_center
     thetas = [_aoa_batch(positions, stripe)]
     delays = [np.linalg.norm(positions - pc, axis=-1) / SPEED_OF_LIGHT]
-    for w in reflecting_walls(infra.walls, stripe):
-        wall = infra.walls[w]
-        off = (positions - wall.point) @ wall.normal
-        mirrored = positions - 2.0 * off[..., None] * wall.normal
+    for w in reflecting_walls(ws.walls, stripe):
+        mirrored = mirror_ue(positions, ws.walls[w])
         thetas.append(_aoa_batch(mirrored, stripe))
         delays.append(np.linalg.norm(mirrored - pc, axis=-1) / SPEED_OF_LIGHT)
     return np.stack(thetas, axis=-1), np.stack(delays, axis=-1)
 
 
-def _sp_geometry(infra: Infrastructure, n: int, sp_positions: np.ndarray, ue_position):
+def _sp_geometry(ws: _Workspace, n: int, sp_positions: np.ndarray, ue_position):
     """Angle and two-leg geometric delay of scatterer paths, batched over SPs."""
-    stripe = infra.stripes[n]
+    stripe = ws.stripes[n]
     thetas = _aoa_batch(sp_positions, stripe)
     d_s = np.linalg.norm(sp_positions - stripe.phase_center, axis=-1)
     d_us = np.linalg.norm(sp_positions - np.asarray(ue_position, float), axis=-1)
     return thetas, (d_s + d_us) / SPEED_OF_LIGHT
-
-
-def _whitened_factors(infra: Infrastructure, n: int, thetas, pseudo_delays):
-    """Kronecker factors of whitened responses: c' = u kron a (antenna-fastest).
-
-    ``thetas`` and ``pseudo_delays`` share an arbitrary batch shape; u gains a
-    trailing K axis, a gains a trailing M axis.
-    """
-    wf = infra.waveform
-    stripe = infra.stripes[n]
-    m_idx = np.arange(stripe.num_antennas)
-    k_idx = np.arange(wf.K)
-    a = np.exp(
-        (1j * _TWO_PI * stripe.spacing / wf.wavelength)
-        * np.sin(np.asarray(thetas))[..., None]
-        * m_idx
-    )
-    b = np.exp((-1j * _TWO_PI * wf.delta_f) * np.asarray(pseudo_delays)[..., None] * k_idx)
-    u = (b * wf.pilots) @ infra.disturbances[n].q_isqrt.T
-    return u, a
 
 
 def _gram_cross(u, a, zt):
@@ -254,18 +231,20 @@ def _stripe_model(ws: _Workspace, n: int, positions, dtaus, sp_positions=None):
 
     ``positions`` (B, 3) with clock offsets ``dtaus`` (B,) give the path
     angles and delays (LoS, wall reflections, then the scatterers at
-    ``sp_positions`` (J, 3) when given), then the whitened Kronecker factors
-    u (B, L, K) and a (B, L, M).  Returns (u, a, tau_los) with tau_los the
+    ``sp_positions`` (J, 3), or (B, J, 3) per candidate, when given), then
+    the whitened Kronecker factors u (B, L, K) and a (B, L, M) from the
+    signal layer's ``whitened_response_parts``, the same model the bounds
+    and the synthesis use.  Returns (u, a, tau_los) with tau_los the
     geometric LoS delay (B,).  Callers run ``_gram_cross`` themselves, so a
     scan frees one stripe's factors before the next stripe's Gram is built.
     """
-    infra = ws.infra
-    thetas, delays = _los_rp_geometry(infra, n, positions)
+    thetas, delays = _los_rp_geometry(ws, n, positions)
     if sp_positions is not None and len(sp_positions):
-        th_sp, d_sp = _sp_geometry(infra, n, sp_positions, positions[..., None, :])
+        th_sp, d_sp = _sp_geometry(ws, n, sp_positions, positions[..., None, :])
         thetas = np.concatenate([thetas, np.broadcast_to(th_sp, d_sp.shape)], axis=-1)
         delays = np.concatenate([delays, d_sp], axis=-1)
-    u, a = _whitened_factors(infra, n, thetas, delays + dtaus[..., None])
+    u, a = whitened_response_parts(thetas, delays + dtaus[..., None], ws.waveform,
+                                   ws.stripes[n], ws.disturbances[n])
     return u, a, delays[..., 0]
 
 
@@ -438,12 +417,12 @@ class NstConfig:
     refine_maxiter: int = 200
 
 
-def _axis_aligned_box(infra: Infrastructure) -> list:
+def _axis_aligned_box(ws: _Workspace) -> list:
     """Room footprint from axis-aligned walls, else padded stripe extent."""
-    centers = np.array([s.phase_center for s in infra.stripes])
+    centers = np.array([s.phase_center for s in ws.stripes])
     lo = centers.min(axis=0) - 1.0
     hi = centers.max(axis=0) + 1.0
-    for wall in infra.walls:
+    for wall in ws.walls:
         n = wall.normal
         for ax in range(2):
             if abs(n[ax]) > 1.0 - 1e-9:
@@ -469,7 +448,7 @@ def _mesh(axes, height) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _box_axes(infra: Infrastructure, step: float, margin: float, box, z_range) -> list:
+def _box_axes(ws: _Workspace, step: float, margin: float, box, z_range) -> list:
     """Per-axis coordinates at ``step`` over ``box`` shrunk by ``margin`` on each side.
 
     Without a box the room footprint is used, plus an unshrunk z axis over
@@ -478,7 +457,7 @@ def _box_axes(infra: Infrastructure, step: float, margin: float, box, z_range) -
     """
     extra = []
     if box is None:
-        box = _axis_aligned_box(infra)
+        box = _axis_aligned_box(ws)
         if z_range is not None:
             extra = [_grid_1d(z_range[0], z_range[1], step)]
     axes = [_grid_1d(lo + margin, hi - margin, step) for lo, hi in box] + extra
@@ -487,20 +466,20 @@ def _box_axes(infra: Infrastructure, step: float, margin: float, box, z_range) -
     return axes if z_range is not None else axes[:2]
 
 
-def _decimation(infra: Infrastructure, axes, step: float) -> int:
+def _decimation(ws: _Workspace, axes, step: float) -> int:
     """Stride k of the coarse scan's sub-lattice over the ``step`` lattice
     ``axes``: the narrowest noncoherent lobe over the grid, the smaller of the
     delay resolution c/B and each stripe's angular lobe lambda r / (M d) at
     its closest approach r to the grid, is sampled at least 4 times."""
-    wf = infra.waveform
-    centers = np.array([s.phase_center for s in infra.stripes])
+    wf = ws.waveform
+    centers = np.array([s.phase_center for s in ws.stripes])
     near = centers.copy()
     if len(axes) == 2:
-        near[:, 2] = infra.known_height
+        near[:, 2] = ws.known_height
     near[:, : len(axes)] = np.clip(
         centers[:, : len(axes)], [ax[0] for ax in axes], [ax[-1] for ax in axes]
     )
-    apertures = np.array([s.num_antennas * s.spacing for s in infra.stripes])
+    apertures = np.array([s.num_antennas * s.spacing for s in ws.stripes])
     lobes = wf.wavelength * np.linalg.norm(near - centers, axis=1) / apertures
     width = min(SPEED_OF_LIGHT / wf.bandwidth, float(lobes.min()))
     return max(1, int(width // (4.0 * step)))
@@ -588,7 +567,7 @@ def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool =
     do the fits keep their response factors u and a, all stripes at once,
     so that is meant for a handful of candidates, not a scan chunk.
     """
-    fc = ws.infra.waveform.fc
+    fc = ws.waveform.fc
     xi_sum = np.zeros(positions.shape[:-1], dtype=complex)
     fits = []
     for n in range(ws.n_stripes):
@@ -628,7 +607,7 @@ def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
     minus the explained energy summed over stripes, or with ``exact`` the
     per-stripe path gains, for ``_residuals`` of the fits.
     """
-    fc = ws.infra.waveform.fc
+    fc = ws.waveform.fc
     cost = np.zeros(np.shape(dphi))
     gains = []
     for n, fit in enumerate(fits):
@@ -681,7 +660,7 @@ def jml_basis(eta_w: WantedParams, obs, stripe_index: int) -> BasisMatrix:
     u, a, tau_los = _stripe_model(ws, stripe_index, eta_w.position.reshape(1, 3),
                                   np.array([eta_w.clock_offset]), eta_w.sp_positions)
     c = _columns(u[0], a[0])
-    pin = np.exp(1j * (eta_w.phase_offset - _TWO_PI * ws.infra.waveform.fc * tau_los[0]))
+    pin = np.exp(1j * (eta_w.phase_offset - _TWO_PI * ws.waveform.fc * tau_los[0]))
     B = np.empty((c.shape[0], 2 * c.shape[1] - 1), dtype=complex)
     B[:, 0] = pin * c[:, 0]
     B[:, 1::2] = c[:, 1:]
@@ -793,33 +772,43 @@ def _separated_minima(points, costs, min_sep: float, count: int) -> list:
     return picked
 
 
-def _scan(ws: _Workspace, tie, points, coherent: bool = False):
-    """Chunked noncoherent fits over ``points`` with clock offsets ``tie``:
-    the best (cost, point, clock offset, phase offset, index), then, only
-    when ``coherent``, every point's pinned-phase cost and clock offset (else
-    empty lists)."""
-    best = (np.inf,)
-    cps, dts = [], []
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        dtaus = tie(chunk)
-        xi_sum, fits = _ncp_fits(ws, chunk, dtaus)
-        dphi = np.angle(xi_sum)
-        ncp = _ncp_cost(ws, fits)
-        k = int(np.argmin(ncp))
-        if ncp[k] < best[0]:
-            best = (float(ncp[k]), chunk[k], float(dtaus[k]), float(dphi[k]), start + k)
+def _scan(ws: _Workspace, positions, dtaus, sp_positions=None, coherent: bool = False):
+    """``_ncp_fits`` over many candidates in chunks of ``_CHUNK``.
+
+    Candidate i is the position ``positions[i]`` with clock offset
+    ``dtaus[i]`` and, when ``sp_positions`` (B, J, 3) is given, the
+    scatterers ``sp_positions[i]``.  Returns per-candidate arrays: the
+    noncoherent cost, the phase offset of the derotated LoS sum, and, only
+    when ``coherent``, the pinned-phase cost at that phase (else None).
+    """
+    ncp, dphi, cp = [], [], []
+    for start in range(0, len(positions), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        sps = None if sp_positions is None else sp_positions[chunk]
+        xi_sum, fits = _ncp_fits(ws, positions[chunk], dtaus[chunk], sps)
+        ncp.append(_ncp_cost(ws, fits))
+        dphi.append(np.angle(xi_sum))
         if coherent:
-            cps.append(_pinned_costs(ws, fits, dphi))
-            dts.append(dtaus)
+            cp.append(_pinned_costs(ws, fits, dphi[-1]))
         # free this chunk's Gram systems before the next chunk builds its own
         del fits
-    return best, cps, dts
+    return np.concatenate(ncp), np.concatenate(dphi), np.concatenate(cp) if coherent else None
+
+
+def _grid_scan(ws: _Workspace, tie, points, coherent: bool = False):
+    """``_scan`` of ``points`` at the clock offsets ``tie`` assigns them.
+    Returns the best noncoherent cell as (cost, point, clock offset, phase
+    offset, index), every point's clock offset, and with ``coherent`` every
+    point's pinned-phase cost."""
+    dtaus = tie(points)
+    ncp, dphi, cp = _scan(ws, points, dtaus, coherent=coherent)
+    k = int(np.argmin(ncp))
+    return (float(ncp[k]), points[k], float(dtaus[k]), float(dphi[k]), k), dtaus, cp
 
 
 def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
     """Best noncoherent cell of the coarse lattice at ``cfg.step``, as
-    ``_scan`` reports it.
+    ``_grid_scan`` reports it.
 
     The noncoherent cost is smooth on the scale of its narrowest lobe, so
     the sub-lattice of every ``_decimation``-th coordinate per axis is scored
@@ -827,16 +816,15 @@ def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
     better of the two wins.  Each scored point is a lattice point, taken from
     the same per-axis coordinates.
     """
-    infra = ws.infra
-    step = cfg.step if cfg.step is not None else infra.waveform.wavelength / 4.0
-    axes = _box_axes(infra, step, cfg.margin, cfg.box, _Z_RANGE if infra.D == 3 else None)
-    k = _decimation(infra, axes, step)
+    step = cfg.step if cfg.step is not None else ws.waveform.wavelength / 4.0
+    axes = _box_axes(ws, step, cfg.margin, cfg.box, _Z_RANGE if ws.D == 3 else None)
+    k = _decimation(ws, axes, step)
     sub = [ax[::k] for ax in axes]
-    best = _scan(ws, tie, _mesh(sub, infra.known_height))[0]
+    best = _grid_scan(ws, tie, _mesh(sub, ws.known_height))[0]
     if k > 1:
         cell = np.unravel_index(best[4], [len(ax) for ax in sub])
         near = [ax[max(0, k * i - k) : k * i + k + 1] for ax, i in zip(axes, cell)]
-        polish = _scan(ws, tie, _mesh(near, infra.known_height))[0]
+        polish = _grid_scan(ws, tie, _mesh(near, ws.known_height))[0]
         best = min(best, polish, key=lambda b: b[0])
     return best
 
@@ -847,10 +835,9 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     if cfg is None:
         cfg = SearchConfig()
     ws = _Workspace(obs)
-    infra = ws.infra
-    wf = infra.waveform
+    wf = ws.waveform
     lam = wf.wavelength
-    D = infra.D
+    D = ws.D
     tie = _clock_tie(obs)
     coarse_ncp = _coarse_pick(ws, tie, cfg)
 
@@ -861,8 +848,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     center = coarse_ncp[1]
     offsets = np.arange(-span, span + 0.5 * fine_step, fine_step)
     fine = _mesh([c + offsets for c in center[:D]], center[2])
-    fine_ncp, fine_cp, fine_dtau = _scan(ws, tie, fine, coherent=True)
-    fine_cp, fine_dtau = np.concatenate(fine_cp), np.concatenate(fine_dtau)
+    fine_ncp, fine_dtau, fine_cp = _grid_scan(ws, tie, fine, coherent=True)
 
     # refinement starts: best fine cells at least half a wavelength apart,
     # guarding against the true basin being narrowly outscored by a sidelobe
@@ -883,7 +869,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
 
     # coherent stage: local refinement of (p, dtau) from each start, best wins
     def unpack(x):
-        return np.concatenate([x[:D], [infra.known_height] * (3 - D)]), float(x[D])
+        return np.concatenate([x[:D], [ws.known_height] * (3 - D)]), float(x[D])
 
     def fit(x):
         """Exact coherent residual, phase offset and per-stripe gains at x."""
@@ -940,10 +926,8 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
     -scale lobes) for diagnostics; the phase offset is re-estimated per point
     exactly as the search does.
     """
-    ws = _Workspace(obs)
     pts = np.asarray(positions, float).reshape(-1, 3)
-    xi_sum, fits = _ncp_fits(ws, pts, np.full(len(pts), float(delta_tau)))
-    return _pinned_costs(ws, fits, np.angle(xi_sum))
+    return _scan(_Workspace(obs), pts, np.full(len(pts), float(delta_tau)), coherent=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -953,10 +937,9 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
 
 def _require_null_space(ws: _Workspace) -> None:
     """Raise KernelEmpty when a stripe's LoS+RP paths leave no null space (MK <= L)."""
-    infra = ws.infra
-    for n, stripe in enumerate(infra.stripes):
-        mk = stripe.num_antennas * infra.waveform.K
-        n_paths = 1 + len(reflecting_walls(infra.walls, stripe))
+    for n, stripe in enumerate(ws.stripes):
+        mk = stripe.num_antennas * ws.waveform.K
+        n_paths = 1 + len(reflecting_walls(ws.walls, stripe))
         if mk <= n_paths:
             raise KernelEmpty(
                 f"stripe {n}: observation dimension {mk} does not exceed "
@@ -1012,16 +995,10 @@ def nst_map_scatterers(
     _require_null_space(ws)
     p_hat = np.asarray(p_hat, float).reshape(3)
 
-    dtaus = np.full(_NST_CHUNK, float(delta_tau_hat))
-    axes = _box_axes(ws.infra, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
-    cands = _mesh(axes, ws.infra.known_height)
-    costs = []
-    for start in range(0, len(cands), _NST_CHUNK):
-        chunk = cands[start : start + _NST_CHUNK]
-        positions = np.broadcast_to(p_hat, chunk.shape)
-        fits = _ncp_fits(ws, positions, dtaus[: len(chunk)], chunk[:, None, :])[1]
-        costs.append(_ncp_cost(ws, fits))
-    costs = np.concatenate(costs)
+    axes = _box_axes(ws, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
+    cands = _mesh(axes, ws.known_height)
+    dtaus = np.full(len(cands), float(delta_tau_hat))
+    costs = _scan(ws, np.broadcast_to(p_hat, cands.shape), dtaus, cands[:, None, :])[0]
     picked = _separated_minima(cands, costs, _NST_EXCLUSION_STEPS * config.step, J)
     if len(picked) < J:
         raise SearchFailure(
@@ -1055,10 +1032,9 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
     """
     require_cp_sync(obs.scenario)
     ws = _Workspace(obs)
-    infra = ws.infra
-    D = infra.D
-    z_fill = infra.known_height if D == 2 else 0.0
-    wf = infra.waveform
+    D = ws.D
+    z_fill = ws.known_height if D == 2 else 0.0
+    wf = ws.waveform
     x0 = initial.wanted().flat(D)
 
     def residual(x):

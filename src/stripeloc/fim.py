@@ -37,8 +37,7 @@ from .signal import (
     d_steering_spatial,
     make_disturbances,
     path_amplitudes_and_phases,
-    steering_frequency,
-    steering_spatial,
+    whitened_response_parts,
 )
 
 
@@ -114,9 +113,8 @@ def local_fim(
         ta = params.pseudo_delays[i]
         ph = params.phases[i]
         gamma = params.amplitudes[i] * np.exp(1j * ph)
-        a = steering_spatial(th, M, d, lam)
+        u, a = whitened_response_parts(th, ta, waveform, stripe, disturbance)
         a_dot = d_steering_spatial(th, M, d, lam)
-        u = disturbance.whiten_freq(steering_frequency(ta, K, df) * s)
         u_dot = disturbance.whiten_freq(d_steering_frequency(ta, K, df) * s)
         c = np.kron(u, a)
         cols[:, i] = gamma * np.kron(u, a_dot)

@@ -113,8 +113,8 @@ class PathGeometry:
     pseudo_delay: float
 
 
-def wrap_angle(x: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
+def wrap_angle(x):
+    """Wrap an angle, or each entry of an array of angles, to (-pi, pi]."""
     return math.pi - (math.pi - x) % (2.0 * math.pi)
 
 
@@ -134,9 +134,14 @@ def d_rot_z_at_zero() -> np.ndarray:
 
 
 def mirror_ue(p, wall: Wall) -> np.ndarray:
-    """Mirror image of point ``p`` across the wall plane."""
-    p = _as_vec3(p)
-    return p - 2.0 * wall.normal * ((p - wall.point) @ wall.normal)
+    """Mirror images of (..., 3) points ``p`` across the wall plane.
+
+    The plane offset is one dot product per point, so a point gets the same
+    bits in a batch as alone (a matrix-vector product over the batch
+    rounds differently).
+    """
+    p = np.asarray(p, dtype=float)
+    return p - 2.0 * wall.normal * ((p - wall.point)[..., None, :] @ wall.normal)
 
 
 def reflection_point(p_rs, p, wall: Wall) -> np.ndarray:

@@ -71,10 +71,14 @@ class Waveform:
 # ---------------------------------------------------------------------------
 
 
-def steering_spatial(theta: float, M: int, d: float, lam: float) -> np.ndarray:
-    """ULA spatial steering vector, element 0 at the phase center."""
+def steering_spatial(theta, M: int, d: float, lam: float) -> np.ndarray:
+    """ULA spatial steering vectors, element 0 at the phase center.
+
+    ``theta`` is a scalar or an array of any shape; the result gains a
+    trailing M axis, each row bit-identical to the scalar call.
+    """
     m = np.arange(M)
-    return np.exp(2j * math.pi * d * m * math.sin(theta) / lam)
+    return np.exp(2j * math.pi * d * m * np.sin(theta)[..., None] / lam)
 
 
 def d_steering_spatial(theta: float, M: int, d: float, lam: float) -> np.ndarray:
@@ -84,10 +88,14 @@ def d_steering_spatial(theta: float, M: int, d: float, lam: float) -> np.ndarray
     return (2j * math.pi * d * math.cos(theta) / lam) * m * a
 
 
-def steering_frequency(tau: float, K: int, delta_f: float) -> np.ndarray:
-    """Frequency-domain steering vector across K subcarriers."""
+def steering_frequency(tau, K: int, delta_f: float) -> np.ndarray:
+    """Frequency-domain steering vectors across K subcarriers.
+
+    ``tau`` is a scalar or an array of any shape; the result gains a
+    trailing K axis, each row bit-identical to the scalar call.
+    """
     k = np.arange(K)
-    return np.exp(-2j * math.pi * k * delta_f * tau)
+    return np.exp(-2j * math.pi * k * delta_f * np.asarray(tau)[..., None])
 
 
 def d_steering_frequency(tau: float, K: int, delta_f: float) -> np.ndarray:
@@ -104,16 +112,20 @@ def response(theta: float, tau: float, waveform: Waveform, stripe: Stripe) -> np
 
 
 def whitened_response_parts(
-    theta: float,
-    tau: float,
+    theta,
+    tau,
     waveform: Waveform,
     stripe: Stripe,
     disturbance: DisturbanceCov,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker factors (u, a) of the whitened response c' = u kron a.
 
-    u = L^{-1} (b(tau) * s) carries the frequency side of the whitening; the
-    antenna side is untouched because the disturbance is white over antennas.
+    u = Q^{-1/2} (b(tau) * s) carries the frequency side of the whitening;
+    the antenna side is untouched because the disturbance is white over
+    antennas.  ``theta`` and ``tau`` are scalars or arrays of one batch
+    shape; u gains a trailing K axis and a a trailing M axis.  This is the
+    one whitened response model: synthesis-side SDNR accounting, the local
+    FIM and every estimator fit call it.
     """
     a = steering_spatial(theta, stripe.num_antennas, stripe.spacing, waveform.wavelength)
     b = steering_frequency(tau, waveform.K, waveform.delta_f)
@@ -231,7 +243,7 @@ class ObservationSet:
     def whitened(self, stripe_index: int) -> np.ndarray:
         if stripe_index not in self._whitened:
             Y = self.observations[stripe_index].Y
-            self._whitened[stripe_index] = self.disturbances[stripe_index].whiten_matrix(Y)
+            self._whitened[stripe_index] = self.disturbances[stripe_index].whiten_freq(Y)
         return self._whitened[stripe_index]
 
 

@@ -299,7 +299,13 @@ def test_structured_whitener_equals_dense_inv_sqrt():
     y = rng.standard_normal(M * K) + 1j * rng.standard_normal(M * K)
     assert_allclose(cov.whiten_vec(y), W_dense @ y, atol=1e-10)
     Y = y.reshape(K, M).T
-    assert_allclose(cov.whiten_matrix(Y).T.reshape(-1), W_dense @ y, atol=1e-10)
+    assert_allclose(cov.whiten_freq(Y).T.reshape(-1), W_dense @ y, atol=1e-10)
+    # a (..., K) row stack is whitened row by row, bit for bit the 1-D calls
+    stack = rng.standard_normal((2, 5, K)) + 1j * rng.standard_normal((2, 5, K))
+    rows = cov.whiten_freq(stack)
+    assert rows.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:-1]):
+        np.testing.assert_array_equal(rows[idx], cov.whiten_freq(stack[idx]))
 
 
 def test_whitener_inverts_covariance():

@@ -678,13 +678,34 @@ def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
     ws = estimators._Workspace(obs)
     tie = estimators._clock_tie(obs)
     step = est_scene.waveform.wavelength / 4.0
-    axes = estimators._box_axes(ws.infra, step, cfg.margin, cfg.box, None)
-    assert estimators._decimation(ws.infra, axes, step) > 1
-    lattice = estimators._mesh(axes, ws.infra.known_height)
+    axes = estimators._box_axes(ws, step, cfg.margin, cfg.box, None)
+    assert estimators._decimation(ws, axes, step) > 1
+    lattice = estimators._mesh(axes, ws.known_height)
     costs = estimators._ncp_cost(ws, estimators._ncp_fits(ws, lattice, tie(lattice))[1])
     pick = estimators._coarse_pick(ws, tie, cfg)
     np.testing.assert_array_equal(pick[1], lattice[np.argmin(costs)])
     assert abs(pick[0] - costs.min()) <= 1e-12 * costs.min()
+
+
+def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs):
+    # _scan scores candidates in chunks of _CHUNK; over one and a half
+    # chunks its per-point costs and phases equal a single unchunked fit
+    ws = estimators._Workspace(noisy_obs)
+    n = 3 * estimators._CHUNK // 2
+    rng = np.random.default_rng(12)
+    pts = est_scene.ue_position + rng.uniform(-0.4, 0.4, (n, 3)) * [1.0, 1.0, 0.0]
+    dtaus = est_scene.clock_offset + rng.uniform(-2e-9, 2e-9, n)
+    ncp, dphi, cp = estimators._scan(ws, pts, dtaus, coherent=True)
+    xi_sum, fits = estimators._ncp_fits(ws, pts, dtaus)
+    np.testing.assert_array_equal(ncp, estimators._ncp_cost(ws, fits))
+    np.testing.assert_array_equal(dphi, np.angle(xi_sum))
+    np.testing.assert_array_equal(cp, estimators._pinned_costs(ws, fits, dphi))
+    # one scatterer candidate per point, as the NST grid passes them
+    sps = (pts + [0.6, -0.5, 0.8])[:, None, :]
+    ncp_sp, _, none = estimators._scan(ws, pts, dtaus, sps)
+    assert none is None
+    fits_sp = estimators._ncp_fits(ws, pts, dtaus, sps)[1]
+    np.testing.assert_array_equal(ncp_sp, estimators._ncp_cost(ws, fits_sp))
 
 
 def test_rml_refine_scan_and_jml_costs_agree(noisy_obs):

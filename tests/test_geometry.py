@@ -99,6 +99,12 @@ def test_mirror_involution_random():
         # midpoint of (p, mirror) lies on the plane
         mid = 0.5 * (p + mirror_ue(p, wall))
         assert oracles.plane_offset(mid, wall.point, wall.normal) < 1e-12
+        # a (..., 3) batch mirrors every point bit for bit as the single call
+        pts = rng.standard_normal((2, 4, 3)) * 4
+        batch = mirror_ue(pts, wall)
+        assert batch.shape == pts.shape
+        for idx in np.ndindex(pts.shape[:-1]):
+            np.testing.assert_array_equal(batch[idx], mirror_ue(pts[idx], wall))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ def test_steering_spatial_basics():
     assert_allclose(a1, a2, atol=1e-14)
     assert_allclose(np.abs(a1), np.ones(5))
     assert_allclose(steering_spatial(math.pi / 2, 2, lam / 2, lam), [1.0, -1.0], atol=1e-15)
+    # a batch of angles gains a trailing M axis, each row bit for bit the scalar call
+    thetas = np.random.default_rng(3).uniform(-math.pi, math.pi, (7, 3))
+    batch = steering_spatial(thetas, 5, lam / 2, lam)
+    assert batch.shape == (7, 3, 5)
+    want = [[steering_spatial(float(t), 5, lam / 2, lam) for t in row] for row in thetas]
+    np.testing.assert_array_equal(batch, want)
 
 
 def test_steering_frequency_basics():
@@ -72,6 +78,11 @@ def test_steering_frequency_basics():
     b1 = steering_frequency(2.3e-9, 6, 1e6)
     b2 = steering_frequency(1.1e-9, 6, 1e6)
     assert_allclose(b1 * b2, steering_frequency(3.4e-9, 6, 1e6), atol=1e-14)
+    taus = np.random.default_rng(4).uniform(0.0, 2e-6, (7, 3))
+    batch = steering_frequency(taus, 6, 1e6)
+    assert batch.shape == (7, 3, 6)
+    want = [[steering_frequency(float(t), 6, 1e6) for t in row] for row in taus]
+    np.testing.assert_array_equal(batch, want)
 
 
 def test_steering_derivatives_match_fd():
@@ -132,6 +143,18 @@ def test_whitened_response_parts_consistent():
     # and equals the dense whitener applied to the raw response
     W = dist.dense_whitener()
     assert_allclose(np.kron(u, a), W @ response(0.5, 8e-9, wf, scene.stripes[0]), atol=1e-12)
+    # batched angles and delays give per-element factors bit for bit
+    rng = np.random.default_rng(6)
+    thetas = rng.uniform(-1.5, 1.5, (4, 3))
+    taus = rng.uniform(0.0, 80e-9, (4, 3))
+    ub, ab = whitened_response_parts(thetas, taus, wf, scene.stripes[0], dist)
+    assert ub.shape == (4, 3, wf.K) and ab.shape == (4, 3, 4)
+    for i, j in np.ndindex(thetas.shape):
+        ui, ai = whitened_response_parts(
+            float(thetas[i, j]), float(taus[i, j]), wf, scene.stripes[0], dist
+        )
+        np.testing.assert_array_equal(ub[i, j], ui)
+        np.testing.assert_array_equal(ab[i, j], ai)
 
 
 # ---------------------------------------------------------------------------
