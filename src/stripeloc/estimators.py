@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fim import SyncMode
 from .geometry import SPEED_OF_LIGHT, mirror_ue, reflecting_walls, rot_z, wrap_angle
-from .signal import whitened_response_parts
+from .signal import kron_rows, whitened_response_parts
 
 _TWO_PI = 2.0 * math.pi
 # singular values below this fraction of the largest are treated as zero
@@ -246,11 +246,6 @@ def _stripe_model(ws: _Workspace, n: int, positions, dtaus, sp_positions=None):
     u, a = whitened_response_parts(thetas, delays + dtaus[..., None], ws.waveform,
                                    ws.stripes[n], ws.disturbances[n])
     return u, a, delays[..., 0]
-
-
-def _columns(u, a) -> np.ndarray:
-    """Explicit MK x L whitened response columns of one candidate's factors."""
-    return (u[:, :, None] * a[:, None, :]).reshape(u.shape[0], -1).T
 
 
 def _require_full_rank(n: int, H, rank) -> None:
@@ -659,7 +654,7 @@ def jml_basis(eta_w: WantedParams, obs, stripe_index: int) -> BasisMatrix:
     ws = _Workspace(obs)
     u, a, tau_los = _stripe_model(ws, stripe_index, eta_w.position.reshape(1, 3),
                                   np.array([eta_w.clock_offset]), eta_w.sp_positions)
-    c = _columns(u[0], a[0])
+    c = kron_rows(u[0], a[0]).T
     pin = np.exp(1j * (eta_w.phase_offset - _TWO_PI * ws.waveform.fc * tau_los[0]))
     B = np.empty((c.shape[0], 2 * c.shape[1] - 1), dtype=complex)
     B[:, 0] = pin * c[:, 0]
@@ -959,7 +954,7 @@ def nst_kernels(obs, p_hat, delta_tau_hat: float) -> list:
     kernels = []
     for n in range(ws.n_stripes):
         u, a, _ = _stripe_model(ws, n, positions, dtaus)
-        kernels.append(null_space(_columns(u[0], a[0]).conj().T))
+        kernels.append(null_space(kron_rows(u[0], a[0]).conj()))
     return kernels
 
 

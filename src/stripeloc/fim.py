@@ -35,6 +35,7 @@ from .signal import (
     Waveform,
     d_steering_frequency,
     d_steering_spatial,
+    kron_rows,
     make_disturbances,
     path_amplitudes_and_phases,
     whitened_response_parts,
@@ -68,10 +69,6 @@ class LocalChannelParams:
     phases: np.ndarray
     amplitudes: np.ndarray
 
-    @property
-    def nc(self) -> int:
-        return len(self.thetas)
-
     def stacked(self) -> np.ndarray:
         return np.concatenate(
             [self.thetas, self.pseudo_delays, self.phases, self.amplitudes]
@@ -104,23 +101,18 @@ def local_fim(
     every closed-form entry (the whitened inner products factor over the
     antenna/subcarrier Kronecker structure).
     """
-    Nc = params.nc
-    M, d, lam = stripe.num_antennas, stripe.spacing, waveform.wavelength
-    K, df, s = waveform.K, waveform.delta_f, waveform.pilots
-    cols = np.empty((M * K, 4 * Nc), dtype=complex)
-    for i in range(Nc):
-        th = params.thetas[i]
-        ta = params.pseudo_delays[i]
-        ph = params.phases[i]
-        gamma = params.amplitudes[i] * np.exp(1j * ph)
-        u, a = whitened_response_parts(th, ta, waveform, stripe, disturbance)
-        a_dot = d_steering_spatial(th, M, d, lam)
-        u_dot = disturbance.whiten_freq(d_steering_frequency(ta, K, df) * s)
-        c = np.kron(u, a)
-        cols[:, i] = gamma * np.kron(u, a_dot)
-        cols[:, Nc + i] = gamma * np.kron(u_dot, a)
-        cols[:, 2 * Nc + i] = 1j * gamma * c
-        cols[:, 3 * Nc + i] = np.exp(1j * ph) * c
+    th, ta = params.thetas, params.pseudo_delays
+    rot = np.exp(1j * params.phases)[:, None]
+    gamma = params.amplitudes[:, None] * rot
+    u, a = whitened_response_parts(th, ta, waveform, stripe, disturbance)
+    a_dot = d_steering_spatial(th, stripe.num_antennas, stripe.spacing, waveform.wavelength)
+    b_dot = d_steering_frequency(ta, waveform.K, waveform.delta_f)
+    u_dot = disturbance.whiten_freq(b_dot * waveform.pilots)
+    c = kron_rows(u, a)
+    # rows: angle, delay, phase and amplitude derivatives, path by path
+    cols = np.ascontiguousarray(np.concatenate(
+        [gamma * kron_rows(u, a_dot), gamma * kron_rows(u_dot, a), 1j * gamma * c, rot * c]
+    ).T)
     J = 2.0 * np.real(cols.conj().T @ cols)
     return 0.5 * (J + J.T)
 

@@ -215,7 +215,12 @@ def _get(node: dict, key: str, parent: str):
         raise SchemaError(f"{_path(parent, key)}: missing required field")
     return node[key]
 
-def _num(node: dict, key: str, parent: str) -> float:
+
+def _num(node: dict, key: str, parent: str, default: float | None = None) -> float:
+    """A numeric field (not a bool); ``default``, when given, stands in for
+    a missing one."""
+    if default is not None and isinstance(node, dict) and key not in node:
+        return default
     v = _get(node, key, parent)
     if isinstance(v, bool) or not isinstance(v, _NUMBER):
         raise SchemaError(f"{_path(parent, key)}: expected a number")
@@ -273,7 +278,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         fc=_num(wf_node, "fc_hz", "waveform"),
         K=_int(wf_node, "subcarriers", "waveform"),
         delta_f=_num(wf_node, "subcarrier_spacing_hz", "waveform"),
-        temperature=float(wf_node.get("temperature_k", 290.0)),
+        temperature=_num(wf_node, "temperature_k", "waveform", 290.0),
     )
 
     mats_node = _get(cfg, "materials", "")
@@ -284,8 +289,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         where = f"materials.{mid}"
         materials[mid] = Material(
             eps_r=_num(mnode, "eps_r", where),
-            mu_r=float(mnode.get("mu_r", 1.0)),
-            sigma=float(mnode.get("sigma_s_per_m", 0.0)),
+            mu_r=_num(mnode, "mu_r", where, 1.0),
+            sigma=_num(mnode, "sigma_s_per_m", where, 0.0),
         )
 
     room = _get(cfg, "room", "")
@@ -362,7 +367,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     except ValueError:
         raise SchemaError(f"sync_mode: expected 'cp' or 'ncp', got {sync_raw!r}") from None
     dims = cfg.get("dimensions", 3)
-    if dims not in (2, 3):
+    if type(dims) is not int or dims not in (2, 3):  # refuses bools and 2.0
         raise SchemaError("dimensions: expected 2 or 3")
 
     power = _get(cfg, "power", "")

@@ -81,11 +81,13 @@ def steering_spatial(theta, M: int, d: float, lam: float) -> np.ndarray:
     return np.exp(2j * math.pi * d * m * np.sin(theta)[..., None] / lam)
 
 
-def d_steering_spatial(theta: float, M: int, d: float, lam: float) -> np.ndarray:
-    """Derivative of :func:`steering_spatial` with respect to theta."""
+def d_steering_spatial(theta, M: int, d: float, lam: float) -> np.ndarray:
+    """Derivative of :func:`steering_spatial` with respect to theta, batched
+    like it.  The coefficient stays real until the factor 1j: numpy's
+    complex/float division multiplies by a reciprocal and rounds differently."""
     m = np.arange(M)
     a = steering_spatial(theta, M, d, lam)
-    return (2j * math.pi * d * math.cos(theta) / lam) * m * a
+    return 1j * np.asarray(2.0 * math.pi * d * np.cos(theta) / lam)[..., None] * m * a
 
 
 def steering_frequency(tau, K: int, delta_f: float) -> np.ndarray:
@@ -98,17 +100,26 @@ def steering_frequency(tau, K: int, delta_f: float) -> np.ndarray:
     return np.exp(-2j * math.pi * k * delta_f * np.asarray(tau)[..., None])
 
 
-def d_steering_frequency(tau: float, K: int, delta_f: float) -> np.ndarray:
-    """Derivative of :func:`steering_frequency` with respect to tau."""
+def d_steering_frequency(tau, K: int, delta_f: float) -> np.ndarray:
+    """Derivative of :func:`steering_frequency` with respect to tau, batched
+    like it."""
     k = np.arange(K)
     return (-2j * math.pi * delta_f * k) * steering_frequency(tau, K, delta_f)
 
 
-def response(theta: float, tau: float, waveform: Waveform, stripe: Stripe) -> np.ndarray:
-    """Angular-delay response c = (b(tau) * s) kron a(theta), length M*K."""
+def kron_rows(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker products of two factor stacks of one batch shape,
+    (..., P) and (..., Q) -> (..., P*Q), second factor fastest, each row the
+    bits of ``np.kron``: the one builder of explicit response columns."""
+    return (u[..., :, None] * a[..., None, :]).reshape(*u.shape[:-1], -1)
+
+
+def response(theta, tau, waveform: Waveform, stripe: Stripe) -> np.ndarray:
+    """Angular-delay response c = (b(tau) * s) kron a(theta), length M*K;
+    batched like :func:`whitened_response_parts`."""
     a = steering_spatial(theta, stripe.num_antennas, stripe.spacing, waveform.wavelength)
     b = steering_frequency(tau, waveform.K, waveform.delta_f)
-    return np.kron(b * waveform.pilots, a)
+    return kron_rows(b * waveform.pilots, a)
 
 
 def whitened_response_parts(
@@ -134,15 +145,15 @@ def whitened_response_parts(
 
 
 def whitened_response(
-    theta: float,
-    tau: float,
+    theta,
+    tau,
     waveform: Waveform,
     stripe: Stripe,
     disturbance: DisturbanceCov,
 ) -> np.ndarray:
-    """Whitened angular-delay response c' = R^{-1/2} c, length M*K."""
-    u, a = whitened_response_parts(theta, tau, waveform, stripe, disturbance)
-    return np.kron(u, a)
+    """Whitened angular-delay response c' = R^{-1/2} c, length M*K; batched
+    like :func:`whitened_response_parts`."""
+    return kron_rows(*whitened_response_parts(theta, tau, waveform, stripe, disturbance))
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +187,16 @@ def path_gains(scenario, stripe_index: int, paths=None) -> np.ndarray:
 
 
 def noise_free_matrix(scenario, stripe_index: int) -> np.ndarray:
-    """Noise-free M x K observation: sum of rank-1 per-path terms."""
+    """Noise-free M x K observation: the sum over paths of gamma * a kron (b * s)."""
     stripe = scenario.stripes[stripe_index]
     wf = scenario.waveform
     paths = enumerate_paths(scenario, stripe_index)
     gains = path_gains(scenario, stripe_index, paths)
-    Y = np.zeros((stripe.num_antennas, wf.K), dtype=complex)
-    for gamma, path in zip(gains, paths):
-        a = steering_spatial(path.aoa, stripe.num_antennas, stripe.spacing, wf.wavelength)
-        b = steering_frequency(path.pseudo_delay, wf.K, wf.delta_f)
-        Y += gamma * np.outer(a, b * wf.pilots)
-    return Y
+    a = steering_spatial(np.array([q.aoa for q in paths]), stripe.num_antennas,
+                         stripe.spacing, wf.wavelength)
+    b = steering_frequency(np.array([q.pseudo_delay for q in paths]), wf.K, wf.delta_f)
+    Y = (gains[:, None] * kron_rows(a, b * wf.pilots)).sum(axis=0)
+    return Y.reshape(stripe.num_antennas, wf.K)
 
 
 def make_disturbances(scenario) -> list[DisturbanceCov]:

@@ -1,6 +1,7 @@
 """Command-line interface tests: flag parsing, output formats, exit codes."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -61,6 +62,49 @@ def test_malformed_scenario_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "scene.json"
     bad.write_text("{not json")
     assert cli(["bounds", "--scenario", str(bad)]) == 1
+
+
+def _canonical_with(tmp_path, edit) -> str:
+    """Path of a copy of the bundled canonical scene changed by ``edit``."""
+    cfg = json.loads((resources.files("stripeloc") / "data" / "canonical.json").read_text())
+    edit(cfg)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("dims", [2.0, 3.0, True, "3"])
+def test_non_integer_dimensions_exits_1(dims, tmp_path, capsys):
+    path = _canonical_with(tmp_path, lambda cfg: cfg.update(dimensions=dims))
+    assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
+    assert "dimensions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field", ["waveform.temperature_k", "materials.concrete.mu_r", "materials.concrete.sigma_s_per_m"]
+)
+@pytest.mark.parametrize("value", [True, "hot"])
+def test_non_numeric_optional_field_exits_1(field, value, tmp_path, capsys):
+    *parents, key = field.split(".")
+
+    def edit(cfg):
+        for name in parents:
+            cfg = cfg[name]
+        cfg[key] = value
+
+    path = _canonical_with(tmp_path, edit)
+    assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
+    assert f"{field}: expected a number" in capsys.readouterr().err
+
+
+def test_optional_numeric_fields_default(tmp_path):
+    def drop(cfg):
+        del cfg["waveform"]["temperature_k"]
+        cfg["materials"]["concrete"] = {"eps_r": 6.0}
+
+    sc = resolve_scenario(_canonical_with(tmp_path, drop))
+    assert sc.waveform.temperature == 290.0
+    assert (sc.materials["concrete"].mu_r, sc.materials["concrete"].sigma) == (1.0, 0.0)
 
 
 def test_simulate_without_out_exits_1(capsys):

@@ -26,7 +26,12 @@ from stripeloc.fim import (
     peb_heatmap,
 )
 from stripeloc.scenario import canonical_scenario, with_antennas, with_bandwidth
-from stripeloc.signal import make_disturbances
+from stripeloc.signal import (
+    d_steering_frequency,
+    d_steering_spatial,
+    make_disturbances,
+    whitened_response_parts,
+)
 
 import oracles
 from conftest import random_small_scenario
@@ -85,6 +90,29 @@ def test_local_fim_symmetric_psd():
             assert_allclose(J, J.T, atol=1e-18 * max(1.0, np.abs(J).max()))
             w = np.linalg.eigvalsh(J)
             assert w.min() >= -1e-10 * max(w.max(), 1.0)
+
+
+def test_local_fim_equals_per_path_loop():
+    # the batched columns carry the bits of one np.kron column set per path
+    sc = random_small_scenario(np.random.default_rng(33))
+    wf = sc.waveform
+    for n, stripe in enumerate(sc.stripes):
+        dist = make_disturbances(sc)[n]
+        p = local_channel_params(sc, n)
+        Nc = len(p.thetas)
+        cols = np.empty((stripe.num_antennas * wf.K, 4 * Nc), dtype=complex)
+        for i in range(Nc):
+            th, ta = p.thetas[i], p.pseudo_delays[i]
+            gamma = p.amplitudes[i] * np.exp(1j * p.phases[i])
+            u, a = whitened_response_parts(th, ta, wf, stripe, dist)
+            a_dot = d_steering_spatial(th, stripe.num_antennas, stripe.spacing, wf.wavelength)
+            u_dot = dist.whiten_freq(d_steering_frequency(ta, wf.K, wf.delta_f) * wf.pilots)
+            cols[:, i] = gamma * np.kron(u, a_dot)
+            cols[:, Nc + i] = gamma * np.kron(u_dot, a)
+            cols[:, 2 * Nc + i] = 1j * gamma * np.kron(u, a)
+            cols[:, 3 * Nc + i] = np.exp(1j * p.phases[i]) * np.kron(u, a)
+        J = 2.0 * np.real(cols.conj().T @ cols)
+        np.testing.assert_array_equal(local_fim(stripe, wf, p, dist), 0.5 * (J + J.T))
 
 
 # ---------------------------------------------------------------------------

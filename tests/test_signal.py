@@ -93,6 +93,17 @@ def test_steering_derivatives_match_fd():
     ht = 1e-12
     db = (steering_frequency(3e-9 + ht, K, df) - steering_frequency(3e-9 - ht, K, df)) / (2 * ht)
     assert_allclose(d_steering_frequency(3e-9, K, df), db, rtol=1e-4)
+    # batched angles and delays give per-element derivatives bit for bit
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(-1.5, 1.5, (4, 3))
+    taus = rng.uniform(0.0, 80e-9, (4, 3))
+    da_b = d_steering_spatial(thetas, M, d, lam)
+    db_b = d_steering_frequency(taus, K, df)
+    assert da_b.shape == (4, 3, M) and db_b.shape == (4, 3, K)
+    for i, j in np.ndindex(thetas.shape):
+        th, ta = float(thetas[i, j]), float(taus[i, j])
+        np.testing.assert_array_equal(da_b[i, j], d_steering_spatial(th, M, d, lam))
+        np.testing.assert_array_equal(db_b[i, j], d_steering_frequency(ta, K, df))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +160,19 @@ def test_whitened_response_parts_consistent():
     taus = rng.uniform(0.0, 80e-9, (4, 3))
     ub, ab = whitened_response_parts(thetas, taus, wf, scene.stripes[0], dist)
     assert ub.shape == (4, 3, wf.K) and ab.shape == (4, 3, 4)
+    cb = response(thetas, taus, wf, scene.stripes[0])
+    cwb = whitened_response(thetas, taus, wf, scene.stripes[0], dist)
+    assert cb.shape == cwb.shape == (4, 3, 4 * wf.K)
     for i, j in np.ndindex(thetas.shape):
-        ui, ai = whitened_response_parts(
-            float(thetas[i, j]), float(taus[i, j]), wf, scene.stripes[0], dist
-        )
+        th, ta = float(thetas[i, j]), float(taus[i, j])
+        ui, ai = whitened_response_parts(th, ta, wf, scene.stripes[0], dist)
         np.testing.assert_array_equal(ub[i, j], ui)
         np.testing.assert_array_equal(ab[i, j], ai)
+        np.testing.assert_array_equal(cb[i, j], response(th, ta, wf, scene.stripes[0]))
+        np.testing.assert_array_equal(
+            cwb[i, j], whitened_response(th, ta, wf, scene.stripes[0], dist)
+        )
+        np.testing.assert_array_equal(cwb[i, j], np.kron(ui, ai))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +207,13 @@ def test_noise_free_matches_path_reconstruction():
                 stripe.spacing, wf.wavelength, wf.delta_f,
             )
         assert np.linalg.norm(vecY - recon) / np.linalg.norm(vecY) < 1e-10
+        # and the batched sum has the bits of a per-path outer-product loop
+        loop = np.zeros_like(Y)
+        for g, q in zip(gains, paths):
+            a = steering_spatial(q.aoa, stripe.num_antennas, stripe.spacing, wf.wavelength)
+            b = steering_frequency(q.pseudo_delay, wf.K, wf.delta_f)
+            loop += g * np.outer(a, b * wf.pilots)
+        np.testing.assert_array_equal(Y, loop)
 
 
 def test_synthesis_deterministic():
