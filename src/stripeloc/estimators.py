@@ -384,11 +384,17 @@ class SearchConfig:
     approach r, sets a stride k that samples it at least 4 times: every k-th
     grid coordinate per axis is scored, then every grid point within k steps
     of that sub-grid's best cell (k = 1, the whole grid, when ``step`` is
-    coarse or a stripe is near).  A fine grid (step lambda/40, lambda/12 in
-    3-D, reaching ``fine_span_wavelengths`` wavelengths out per axis)
-    centered on its minimum is scored coherently, and a Levenberg-Marquardt
-    refinement of at most about ``refine_maxiter`` solver steps runs from
-    each of the ``n_starts`` best fine cells at least half a wavelength apart.
+    coarse or a stripe is near).  A Levenberg-Marquardt refinement of the
+    noncoherent residual from its minimum gives the noncoherent estimate and
+    its Fisher covariance (2 J^T J)^-1.  A fine grid (step lambda/40,
+    lambda/12 in 3-D) centered on that estimate is scored coherently; per
+    axis it reaches 6 standard deviations of that covariance, capped at
+    ``fine_span_wavelengths`` wavelengths, and reaches the cap when the
+    covariance is unusable (the refine kept its start, or 2 J^T J is
+    singular or not finite).  A refinement of the coherent residual then
+    runs from each of the ``n_starts`` best fine cells at least half a
+    wavelength apart.  Every refine takes at most about ``refine_maxiter``
+    solver steps.
     """
 
     step: Optional[float] = None
@@ -719,15 +725,17 @@ def _lm_refine(residual, x0: np.ndarray, steps: np.ndarray, maxiter: int):
     """Levenberg-Marquardt on r(x0 + steps * s): forward-difference Jacobians
     and the trust region both live in the scaled coordinates s (scipy's
     default Jacobian-norm scaling crept for hundreds of steps on NST dips).
-    Returns (x_best, f_best, nit, nfev, f0): f = ||r||^2, nit the solver's
-    steps (capped near ``maxiter``), nfev every residual call.  f0 is read
-    from the solver's first residual call, which is at the start; only
-    without a solver run (``maxiter=0``) is the start evaluated directly.
-    After MINPACK stops, scipy 1.17's ``call_minpack`` still takes one more
+    Returns (x_best, f_best, nit, nfev, f0, jac): f = ||r||^2, nit the
+    solver's steps (capped near ``maxiter``), nfev every residual call, jac
+    the Jacobian dr/dx at x_best in the coordinates of x.  f0 is read from
+    the solver's first residual call, which is at the start; only without a
+    solver run (``maxiter=0``) is the start evaluated directly.  After
+    MINPACK stops, scipy 1.17's ``call_minpack`` takes one more
     forward-difference Jacobian at the returned point (``J = jac(x)``), and
-    no option skips those n calls.  ``x0`` comes back when no step is
-    allowed, when the residual raises LinAlgError after the start (at the
-    start it propagates), or when the solver ends above f0."""
+    no option skips those n calls; that Jacobian is the one returned.
+    ``x0`` comes back, with jac None, when no step is allowed, when the
+    residual raises LinAlgError after the start (at the start it
+    propagates), or when the solver ends above f0."""
     nfev = 0
     f0 = None
 
@@ -752,8 +760,28 @@ def _lm_refine(residual, x0: np.ndarray, steps: np.ndarray, maxiter: int):
         scaled(s0)
     nit = 0 if res is None else int(res.nfev)
     if res is None or 2.0 * res.cost > f0:
-        return x0, f0, nit, nfev, f0
-    return x0 + steps * res.x, 2.0 * float(res.cost), nit, nfev, f0
+        return x0, f0, nit, nfev, f0, None
+    return x0 + steps * res.x, 2.0 * float(res.cost), nit, nfev, f0, res.jac / steps
+
+
+def _fisher_sigmas(jac) -> Optional[np.ndarray]:
+    """Standard deviations sqrt(diag(Sigma)) of Sigma = (2 J^T J)^-1, the
+    Fisher covariance of a residual with Jacobian ``jac`` (for the whitened
+    residuals of ``_residuals``, 2 J^T J is the equivalent FIM of the fitted
+    parameters).  The information is inverted scaled to unit diagonal; None
+    when ``jac`` is None or 2 J^T J is not finite or not positive definite."""
+    if jac is None:
+        return None
+    info = 2.0 * jac.T @ jac
+    d = np.sqrt(np.diag(info))
+    if not (np.all(np.isfinite(info)) and np.all(d > 0.0)):
+        return None
+    S = info / np.outer(d, d)
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    return np.sqrt(np.diag(np.linalg.inv(S))) / d
 
 
 def _separated_minima(points, costs, min_sep: float, count: int) -> list:
@@ -824,64 +852,94 @@ def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
     return best
 
 
+def _position_clock(ws: _Workspace, x):
+    """Position (3,) and clock offset of a position-stage vector (p[:D], dtau);
+    in 2-D mode the position sits at the known UE height."""
+    return np.concatenate([x[: ws.D], [ws.known_height] * (3 - ws.D)]), float(x[ws.D])
+
+
+def _position_steps(ws: _Workspace) -> np.ndarray:
+    """Refine scales of (p[:D], dtau): an eighth of a wavelength and of the
+    delay resolution 1/B."""
+    return np.concatenate([np.full(ws.D, ws.waveform.wavelength / 8.0),
+                           [1.0 / (8.0 * ws.waveform.bandwidth)]])
+
+
+def _ncp_residual(ws: _Workspace, x) -> np.ndarray:
+    """Exact noncoherent residual at (p[:D], dtau), every path gain free: the
+    residual ``rml_ncp_amplitudes_and_cost`` forms."""
+    p, dt = _position_clock(ws, x)
+    fits = _ncp_fits(ws, p.reshape(1, 3), np.array([dt]), exact=True)[1]
+    return _residuals(ws, fits, [fit.gains for fit in fits])[0]
+
+
 def _position_stage(obs, cfg: Optional[SearchConfig]):
-    """Shared grid scan feeding both the noncoherent and coherent reports."""
+    """Noncoherent pick and refine, then the coherent grid and refine around
+    it: the RML-NCP and RML reports."""
     require_cp_sync(obs.scenario)
     if cfg is None:
         cfg = SearchConfig()
     ws = _Workspace(obs)
-    wf = ws.waveform
-    lam = wf.wavelength
+    lam = ws.waveform.wavelength
     D = ws.D
     tie = _clock_tie(obs)
-    coarse_ncp = _coarse_pick(ws, tie, cfg)
+    _, p_coarse, dt_coarse, _, _ = _coarse_pick(ws, tie, cfg)
 
-    # fine coherent pass around the noncoherent pick: the coherent basins are
-    # narrower than the coarse step, so resolve them before refining
+    # noncoherent refine from the coarse cell; its Fisher covariance says how
+    # far from it the coherent basin can lie
+    steps = _position_steps(ws)
+    x_ncp, ncp_cost, nit, nfev, f0, jac = _lm_refine(
+        lambda x: _ncp_residual(ws, x), np.concatenate([p_coarse[:D], [dt_coarse]]),
+        steps, cfg.refine_maxiter)
+    p_ncp, dt_ncp = _position_clock(ws, x_ncp)
+    xi_sum, fits = _ncp_point(ws, p_ncp, dt_ncp)
+    ncp_report = EstimateReport(
+        stage="RML-NCP",
+        ue_position=p_ncp,
+        clock_offset=dt_ncp,
+        phase_offset=float(np.angle(xi_sum)),
+        sp_positions=np.empty((0, 3)),
+        amplitudes=tuple(fit.gains[0] for fit in fits),
+        cost=ncp_cost,
+        cost_trace=(f0, ncp_cost, nit, nfev),
+    )
+
+    # fine coherent pass around the refined point: the coherent basins are
+    # narrower than the coarse step, so resolve them before refining.  Per
+    # axis it reaches 6 sigma (the fit leaves the scatterers out, so its
+    # error is mostly bias: the coherent optimum lay up to 5.1 sigma off at
+    # 20 dB), at most the configured span, which it also is without a
+    # usable covariance
     fine_step = lam / 40.0 if D == 2 else lam / 12.0
-    span = cfg.fine_span_wavelengths * lam
-    center = coarse_ncp[1]
-    offsets = np.arange(-span, span + 0.5 * fine_step, fine_step)
-    fine = _mesh([c + offsets for c in center[:D]], center[2])
-    fine_ncp, fine_dtau, fine_cp = _grid_scan(ws, tie, fine, coherent=True)
+    half = np.full(D, cfg.fine_span_wavelengths * lam)
+    sigmas = _fisher_sigmas(jac)
+    if sigmas is not None:
+        half = np.minimum(6.0 * sigmas[:D], half)
+    counts = np.floor(half / fine_step + 1e-9).astype(int)
+    fine = _mesh([c + fine_step * np.arange(-k, k + 1) for c, k in zip(p_ncp[:D], counts)],
+                 p_ncp[2])
+    _, fine_dtau, fine_cp = _grid_scan(ws, tie, fine, coherent=True)
 
     # refinement starts: best fine cells at least half a wavelength apart,
     # guarding against the true basin being narrowly outscored by a sidelobe
     start_idx = _separated_minima(fine, fine_cp, 0.5 * lam, max(1, cfg.n_starts))
 
-    # noncoherent stage report (grid resolution only; its cost is smooth)
-    ncp_cost, p_ncp, dt_ncp, dphi_ncp, _ = min(coarse_ncp, fine_ncp, key=lambda b: b[0])
-    ncp_report = EstimateReport(
-        stage="RML-NCP",
-        ue_position=p_ncp,
-        clock_offset=dt_ncp,
-        phase_offset=dphi_ncp,
-        sp_positions=np.empty((0, 3)),
-        amplitudes=tuple(fit.gains[0] for fit in _ncp_point(ws, p_ncp, dt_ncp)[1]),
-        cost=ncp_cost,
-        cost_trace=(ncp_cost,),
-    )
-
     # coherent stage: local refinement of (p, dtau) from each start, best wins
-    def unpack(x):
-        return np.concatenate([x[:D], [ws.known_height] * (3 - D)]), float(x[D])
-
     def fit(x):
         """Exact coherent residual, phase offset and per-stripe gains at x."""
-        p, dt = unpack(x)
+        p, dt = _position_clock(ws, x)
         xi_sum, fits = _ncp_fits(ws, p.reshape(1, 3), np.array([dt]), exact=True)
         dphi = np.angle(xi_sum)
         gains = _pinned_costs(ws, fits, dphi, exact=True)
         return _residuals(ws, fits, gains)[0], float(dphi[0]), [g[0] for g in gains]
 
-    steps = np.concatenate([np.full(D, lam / 8.0), [1.0 / (8.0 * wf.bandwidth)]])
     runs = [
         _lm_refine(lambda x: fit(x)[0], np.concatenate([fine[idx][:D], [fine_dtau[idx]]]),
                    steps, cfg.refine_maxiter)
         for idx in start_idx
     ]
-    x_best, final_cost, nit, nfev, _ = min(runs, key=lambda r: r[1])
-    p_best, dt_best = unpack(x_best)
+    x_best, final_cost, nit, nfev, _, _ = min(runs, key=lambda r: r[1])
+    p_best, dt_best = _position_clock(ws, x_best)
     _, dphi_best, gains_cp = fit(x_best)
     rml_report = EstimateReport(
         stage="RML",
@@ -902,11 +960,12 @@ def rml_position_search(obs, config: Optional[SearchConfig] = None) -> EstimateR
     Every grid cell's clock offset is tied to it through the delay-domain
     peaks.  The coarse grid at the configured step is scored by the
     noncoherent cost only, on a sub-grid decimated to the cost's narrowest
-    lobe plus the full-resolution cells around its best point (see
-    ``SearchConfig``); the fine grid around its minimum is scored
-    coherently, the phase offset re-estimated in closed form per cell.  A
-    Levenberg-Marquardt refinement of (position, clock offset) on the
-    amplitude-eliminated residual follows.  ``cost_trace`` is (best
+    lobe plus the full-resolution cells around its best point, and that
+    point is refined on the noncoherent residual (see ``SearchConfig``).
+    The fine grid around the refined point, sized by its Fisher covariance,
+    is scored coherently, the phase offset re-estimated in closed form per
+    cell.  A Levenberg-Marquardt refinement of (position, clock offset) on
+    the amplitude-eliminated residual follows.  ``cost_trace`` is (best
     fine-cell cost, final cost, solver steps, residual evaluations); the
     refinement starts from that cell and never ends above its cost.  Raises
     SemanticError under ``sync_mode=ncp``.
@@ -1043,7 +1102,7 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
             np.full(3 * initial.sp_positions.shape[0], lam / 8.0),
         ]
     )
-    x_best, f_best, nit, nfev, f0 = _lm_refine(residual, x0, steps, maxiter)
+    x_best, f_best, nit, nfev, f0, _ = _lm_refine(residual, x0, steps, maxiter)
     eta = WantedParams.from_flat(x_best, D, z_fill)
     _, gains = _jml_point(ws, eta)
     return EstimateReport(
@@ -1066,10 +1125,11 @@ def run_pipeline(
 ) -> tuple:
     """Full estimation chain; returns one report per stage, in running order.
 
-    Stages: noncoherent grid pick, coherent search with refinement, null-space
-    scatterer mapping at the coherent estimates, then joint least-squares
-    refinement of everything from the NST report.  Each stage consumes only
-    measured data and earlier outputs.  Raises SemanticError under ncp sync.
+    Stages: noncoherent grid pick and refinement, coherent search with
+    refinement, null-space scatterer mapping at the coherent estimates, then
+    joint least-squares refinement of everything from the NST report.  Each
+    stage consumes only measured data and earlier outputs.  Raises
+    SemanticError under ncp sync.
     """
     ncp_report, rml_report = _position_stage(obs, search)
     sps = nst_map_scatterers(

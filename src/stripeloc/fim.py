@@ -75,9 +75,11 @@ class LocalChannelParams:
         )
 
 
-def local_channel_params(scenario, stripe_index: int) -> LocalChannelParams:
-    """Ground-truth local channel parameters of one stripe."""
-    paths = enumerate_paths(scenario, stripe_index)
+def local_channel_params(scenario, stripe_index: int, paths=None) -> LocalChannelParams:
+    """Ground-truth local channel parameters of one stripe (``paths`` defaults
+    to its ``enumerate_paths``)."""
+    if paths is None:
+        paths = enumerate_paths(scenario, stripe_index)
     alphas, phases = path_amplitudes_and_phases(scenario, stripe_index, paths)
     return LocalChannelParams(
         thetas=np.array([q.aoa for q in paths]),
@@ -195,18 +197,21 @@ def _horizontal_norm2(r: np.ndarray) -> float:
     return float(r[0] ** 2 + r[1] ** 2)
 
 
-def jacobian(scenario, stripe_index: int, options: FimOptions, layout=None) -> np.ndarray:
+def jacobian(scenario, stripe_index: int, options: FimOptions, layout=None,
+             paths=None) -> np.ndarray:
     """Jacobian of one stripe's local channel parameters w.r.t. the global vector.
 
-    Rows follow the global layout, columns follow the stacked local order.
-    Reflections propagate position derivatives through the Householder map
+    Rows follow the global layout, columns follow the stacked local order
+    of ``paths`` (default: the stripe's ``enumerate_paths``).  Reflections
+    propagate position derivatives through the Householder map
     H = I - 2 n n^T of their wall; scatterer paths split delay/phase
     derivatives over the two legs.
     """
     if layout is None:
         layout = make_layout(scenario, options)
     stripe = scenario.stripes[stripe_index]
-    paths = enumerate_paths(scenario, stripe_index)
+    if paths is None:
+        paths = enumerate_paths(scenario, stripe_index)
     Nc = len(paths)
     lam = scenario.waveform.wavelength
     Mp = d_rot_z_at_zero()
@@ -283,9 +288,10 @@ def global_fim(scenario, options: FimOptions):
     disturbances = make_disturbances(scenario)
     J = np.zeros((layout.dim, layout.dim))
     for n, stripe in enumerate(scenario.stripes):
-        params = local_channel_params(scenario, n)
+        paths = enumerate_paths(scenario, n)
+        params = local_channel_params(scenario, n, paths)
         Jl = local_fim(stripe, scenario.waveform, params, disturbances[n])
-        T = jacobian(scenario, n, options, layout)
+        T = jacobian(scenario, n, options, layout, paths)
         J += T @ Jl @ T.T
     return 0.5 * (J + J.T), layout
 

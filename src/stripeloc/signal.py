@@ -186,12 +186,17 @@ def path_gains(scenario, stripe_index: int, paths=None) -> np.ndarray:
     return alphas * np.exp(1j * phases)
 
 
-def noise_free_matrix(scenario, stripe_index: int) -> np.ndarray:
-    """Noise-free M x K observation: the sum over paths of gamma * a kron (b * s)."""
+def noise_free_matrix(scenario, stripe_index: int, paths=None, gains=None) -> np.ndarray:
+    """Noise-free M x K observation: the sum over paths of gamma * a kron (b * s).
+
+    ``paths`` defaults to the stripe's ``enumerate_paths`` and ``gains`` to
+    their ``path_gains``; pass both to reuse one enumeration."""
     stripe = scenario.stripes[stripe_index]
     wf = scenario.waveform
-    paths = enumerate_paths(scenario, stripe_index)
-    gains = path_gains(scenario, stripe_index, paths)
+    if paths is None:
+        paths = enumerate_paths(scenario, stripe_index)
+    if gains is None:
+        gains = path_gains(scenario, stripe_index, paths)
     a = steering_spatial(np.array([q.aoa for q in paths]), stripe.num_antennas,
                          stripe.spacing, wf.wavelength)
     b = steering_frequency(np.array([q.pseudo_delay for q in paths]), wf.K, wf.delta_f)
@@ -271,7 +276,8 @@ def synthesize(scenario, rng_seed, noise_scale: float = 1.0) -> ObservationSet:
     ``noise_scale`` = 0 gives the noise-free model.
     """
     disturbances = make_disturbances(scenario)
-    gains_all = tuple(path_gains(scenario, n) for n in range(len(scenario.stripes)))
+    paths_all = [enumerate_paths(scenario, n) for n in range(len(scenario.stripes))]
+    gains_all = tuple(path_gains(scenario, n, paths) for n, paths in enumerate(paths_all))
     truth = GroundTruth(
         ue_position=np.asarray(scenario.ue_position, float).copy(),
         clock_offset=float(scenario.clock_offset),
@@ -283,7 +289,7 @@ def synthesize(scenario, rng_seed, noise_scale: float = 1.0) -> ObservationSet:
     for n, stripe in enumerate(scenario.stripes):
         key = _seed_key(rng_seed, n)
         rng = np.random.default_rng(list(key))
-        Y = noise_free_matrix(scenario, n)
+        Y = noise_free_matrix(scenario, n, paths_all[n], gains_all[n])
         if noise_scale != 0.0:
             shape = (stripe.num_antennas, scenario.waveform.K)
             Z = math.sqrt(0.5) * (

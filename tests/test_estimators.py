@@ -45,7 +45,7 @@ from stripeloc.estimators import (
     rml_position_search,
     run_pipeline,
 )
-from stripeloc.fim import FimOptions, SyncMode, efim, global_fim
+from stripeloc.fim import FimOptions, SyncMode, compute_bounds, efim, global_fim
 from stripeloc.geometry import (
     SPEED_OF_LIGHT,
     Stripe,
@@ -728,6 +728,42 @@ def test_rml_refine_scan_and_jml_costs_agree(noisy_obs):
     assert report.cost_trace[0] >= report.cost_trace[1]
 
 
+def test_ncp_refine_covariance_equals_ncp_bounds(est_scene):
+    # the noncoherent residual gives every LoS and reflected gain a free
+    # complex amplitude, which is the NCP bound's model without scatterers:
+    # at noise-free truth its Fisher covariance (2 J^T J)^-1, from the
+    # refine's own Jacobian, gives the NCP PEB and CEB of the LR- case
+    sc, _ = multipath_case(est_scene, "LR-")
+    obs = synthesize(sc, rng_seed=11, noise_scale=0.0)
+    ws = estimators._Workspace(obs)
+    x0 = np.concatenate([sc.ue_position[: sc.D], [sc.clock_offset]])
+    jac = estimators._lm_refine(lambda x: estimators._ncp_residual(ws, x), x0,
+                                estimators._position_steps(ws), 600)[5]
+    sigmas = estimators._fisher_sigmas(jac)
+    b = compute_bounds(sc, FimOptions(sync_mode=SyncMode.NCP, D=sc.D))
+    assert abs(math.sqrt(np.sum(sigmas[: sc.D] ** 2)) - b.peb) <= 1e-5 * b.peb
+    assert abs(sigmas[sc.D] - b.ceb) <= 1e-5 * b.ceb
+
+
+def test_fisher_sigmas_refuse_singular_information():
+    assert estimators._fisher_sigmas(None) is None
+    assert estimators._fisher_sigmas(np.array([[1.0, 0.0], [2.0, 0.0]])) is None
+    assert estimators._fisher_sigmas(np.array([[1.0, np.nan], [0.0, 1.0]])) is None
+    np.testing.assert_allclose(estimators._fisher_sigmas(np.diag([2.0, 0.5])),
+                               [0.5, 2.0] / np.sqrt(2.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("trial", [4, 5])
+def test_rml_position_search_resolves_biased_ncp_fit(est_scene, trial):
+    # the noncoherent fit leaves the scatterer out, so its error is mostly
+    # bias; on these draws the coherent optimum lies more than 3 sigma of
+    # its covariance away, and a fine grid that narrow ends in a lobe about
+    # 36 mm off.  The sigma-sized grid must still reach the right lobe
+    sc = with_sdnr(est_scene, 20.0)
+    report = rml_position_search(synthesize(sc, rng_seed=(23, trial)))
+    assert np.linalg.norm(report.ue_position - sc.ue_position) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # null-space scatterer mapping
 # ---------------------------------------------------------------------------
@@ -882,9 +918,10 @@ def test_lm_refine_returns_start_when_residual_raises():
         return np.array([x[0] - 1.0, 2.0 * x[1]])
 
     x0 = np.array([0.5, 0.5])
-    x_best, f_best, nit, nfev, f0 = estimators._lm_refine(residual, x0, np.ones(2), 50)
+    x_best, f_best, nit, nfev, f0, jac = estimators._lm_refine(residual, x0, np.ones(2), 50)
     assert np.array_equal(x_best, x0)
     assert f_best == f0 == 1.25
+    assert jac is None
     assert nfev == len(calls) == 3
 
 

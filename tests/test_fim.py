@@ -35,6 +35,7 @@ from stripeloc.signal import (
 
 import oracles
 from conftest import random_small_scenario
+from stripeloc import estimation_scenario, fim
 
 
 def options_for(scenario, rng) -> FimOptions:
@@ -343,3 +344,25 @@ def test_peb_heatmap_grid():
         opts,
     ).peb
     assert grid[1, 1] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [canonical_scenario, estimation_scenario])
+def test_global_fim_enumerates_paths_once_per_stripe(make, monkeypatch):
+    # local_channel_params and jacobian share one enumeration per stripe; the
+    # result has the bits of each enumerating the paths itself
+    sc = make()
+    opts = FimOptions(sync_mode=SyncMode.NCP, D=sc.D)
+    layout = make_layout(sc, opts)
+    disturbances = make_disturbances(sc)
+    J = np.zeros((layout.dim, layout.dim))
+    for n, stripe in enumerate(sc.stripes):
+        Jl = local_fim(stripe, sc.waveform, local_channel_params(sc, n), disturbances[n])
+        T = jacobian(sc, n, opts, layout)
+        J += T @ Jl @ T.T
+    calls = []
+    enumerate_paths = fim.enumerate_paths
+    monkeypatch.setattr(fim, "enumerate_paths",
+                        lambda scenario, n: calls.append(n) or enumerate_paths(scenario, n))
+    got, _ = global_fim(sc, opts)
+    assert calls == list(range(len(sc.stripes)))
+    np.testing.assert_array_equal(got, 0.5 * (J + J.T))

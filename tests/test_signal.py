@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stripeloc import estimation_scenario, signal
 from stripeloc.geometry import enumerate_paths
 from stripeloc.signal import (
     Waveform,
@@ -214,6 +215,22 @@ def test_noise_free_matches_path_reconstruction():
             b = steering_frequency(q.pseudo_delay, wf.K, wf.delta_f)
             loop += g * np.outer(a, b * wf.pilots)
         np.testing.assert_array_equal(Y, loop)
+
+
+def test_synthesize_enumerates_paths_once_per_stripe(monkeypatch):
+    # GroundTruth.gains and the noise-free matrix share one enumeration per
+    # stripe, with the bits of each enumerating the paths itself
+    sc = estimation_scenario()
+    want_Y = [noise_free_matrix(sc, n) for n in range(len(sc.stripes))]
+    want_gains = [path_gains(sc, n) for n in range(len(sc.stripes))]
+    calls = []
+    monkeypatch.setattr(signal, "enumerate_paths",
+                        lambda scenario, n: calls.append(n) or enumerate_paths(scenario, n))
+    obs = synthesize(sc, (3, 1), noise_scale=0.0)
+    assert calls == list(range(len(sc.stripes)))
+    for n in range(len(sc.stripes)):
+        np.testing.assert_array_equal(obs.observations[n].Y, want_Y[n])
+        np.testing.assert_array_equal(obs.observations[n].ground_truth.gains[n], want_gains[n])
 
 
 def test_synthesis_deterministic():
