@@ -205,12 +205,16 @@ def noise_free_matrix(scenario, stripe_index: int, paths=None, gains=None) -> np
 
 
 def make_disturbances(scenario) -> list[DisturbanceCov]:
-    """One disturbance covariance per stripe (identical DMC statistics)."""
+    """One disturbance covariance per stripe.  The DMC statistics are the
+    same at every stripe, so stripes with equal antenna counts share one
+    (read-only) object."""
     wf = scenario.waveform
-    return [
-        disturbance_covariance(scenario.dmc, wf.sigma2, wf.pilots, wf.K, st.num_antennas)
-        for st in scenario.stripes
-    ]
+    by_m = {}
+    for st in scenario.stripes:
+        if st.num_antennas not in by_m:
+            by_m[st.num_antennas] = disturbance_covariance(
+                scenario.dmc, wf.sigma2, wf.pilots, wf.K, st.num_antennas)
+    return [by_m[st.num_antennas] for st in scenario.stripes]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stripeloc import estimation_scenario, signal
+from stripeloc.channel import disturbance_covariance
 from stripeloc.geometry import enumerate_paths
 from stripeloc.signal import (
     Waveform,
@@ -231,6 +233,22 @@ def test_synthesize_enumerates_paths_once_per_stripe(monkeypatch):
     for n in range(len(sc.stripes)):
         np.testing.assert_array_equal(obs.observations[n].Y, want_Y[n])
         np.testing.assert_array_equal(obs.observations[n].ground_truth.gains[n], want_gains[n])
+
+
+def test_make_disturbances_shared_per_antenna_count():
+    # the disturbance statistics depend on the stripe only through M, so
+    # stripes with equal M share one covariance with the bits of their own
+    scene = toy_scene(n_stripes=2, M=4, K=8)
+    first = dataclasses.replace(scene.stripes[0], num_antennas=6)
+    scene.stripes = (first,) + tuple(scene.stripes) + (scene.stripes[1],)
+    covs = make_disturbances(scene)
+    assert covs[1] is covs[2] is covs[3] and covs[0] is not covs[1]
+    wf = scene.waveform
+    for cov, st in zip(covs, scene.stripes):
+        own = disturbance_covariance(scene.dmc, wf.sigma2, wf.pilots, wf.K, st.num_antennas)
+        assert cov.M == own.M
+        for name in ("R_f", "Q", "q_isqrt", "q_sqrt"):
+            np.testing.assert_array_equal(getattr(cov, name), getattr(own, name))
 
 
 def test_synthesis_deterministic():
