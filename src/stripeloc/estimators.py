@@ -387,14 +387,14 @@ class SearchConfig:
     coarse or a stripe is near).  A Levenberg-Marquardt refinement of the
     noncoherent residual from its minimum gives the noncoherent estimate and
     its Fisher covariance (2 J^T J)^-1.  A fine grid (step lambda/40,
-    lambda/12 in 3-D) centered on that estimate is scored coherently; per
-    axis it reaches 6 standard deviations of that covariance, capped at
-    ``fine_span_wavelengths`` wavelengths, and reaches the cap when the
-    covariance is unusable (the refine kept its start, or 2 J^T J is
-    singular or not finite).  A refinement of the coherent residual then
-    runs from each of the ``n_starts`` best fine cells at least half a
-    wavelength apart.  Every refine takes at most about ``refine_maxiter``
-    solver steps.
+    lambda/12 in 3-D) around the coarse minimum, reaching at most
+    ``fine_span_wavelengths`` wavelengths out per axis, is scored
+    coherently: only its points within 6 standard deviations per axis of
+    the noncoherent estimate, or all of them when the covariance is
+    unusable (the refine kept its start, or 2 J^T J is singular or not
+    finite).  A refinement of the coherent residual then runs from each of
+    the ``n_starts`` best fine cells at least half a wavelength apart.
+    Every refine takes at most about ``refine_maxiter`` solver steps.
     """
 
     step: Optional[float] = None
@@ -904,20 +904,24 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
         cost_trace=(f0, ncp_cost, nit, nfev),
     )
 
-    # fine coherent pass around the refined point: the coherent basins are
-    # narrower than the coarse step, so resolve them before refining.  Per
-    # axis it reaches 6 sigma (the fit leaves the scatterers out, so its
-    # error is mostly bias: the coherent optimum lay up to 5.1 sigma off at
-    # 20 dB), at most the configured span, which it also is without a
-    # usable covariance
+    # fine coherent pass: the coherent basins are narrower than the coarse
+    # step, so resolve them before refining.  The lattice around the coarse
+    # cell reaches the configured span; only its points within 6 sigma per
+    # axis of the refined point are scored (the fit leaves the scatterers
+    # out, so its error is mostly bias: the coherent optimum lay up to 5.1
+    # sigma off at 20 dB), all of them without a usable covariance or when
+    # that window misses the lattice.  The lattice is not re-centred: the
+    # clock-tied coherent cost of a competing lobe can have a valley
+    # narrower than the step, and a sub-step shift changes which lobe wins
     fine_step = lam / 40.0 if D == 2 else lam / 12.0
-    half = np.full(D, cfg.fine_span_wavelengths * lam)
+    span = cfg.fine_span_wavelengths * lam
+    offsets = np.arange(-span, span + 0.5 * fine_step, fine_step)
+    axes = [c + offsets for c in p_coarse[:D]]
     sigmas = _fisher_sigmas(jac)
     if sigmas is not None:
-        half = np.minimum(6.0 * sigmas[:D], half)
-    counts = np.floor(half / fine_step + 1e-9).astype(int)
-    fine = _mesh([c + fine_step * np.arange(-k, k + 1) for c, k in zip(p_ncp[:D], counts)],
-                 p_ncp[2])
+        near = [np.abs(ax - c) <= 6.0 * s for ax, c, s in zip(axes, p_ncp, sigmas)]
+        axes = [ax[m] if m.any() else ax for ax, m in zip(axes, near)]
+    fine = _mesh(axes, p_coarse[2])
     _, fine_dtau, fine_cp = _grid_scan(ws, tie, fine, coherent=True)
 
     # refinement starts: best fine cells at least half a wavelength apart,
@@ -962,8 +966,8 @@ def rml_position_search(obs, config: Optional[SearchConfig] = None) -> EstimateR
     noncoherent cost only, on a sub-grid decimated to the cost's narrowest
     lobe plus the full-resolution cells around its best point, and that
     point is refined on the noncoherent residual (see ``SearchConfig``).
-    The fine grid around the refined point, sized by its Fisher covariance,
-    is scored coherently, the phase offset re-estimated in closed form per
+    The fine grid, narrowed to the refined point's Fisher covariance, is
+    scored coherently, the phase offset re-estimated in closed form per
     cell.  A Levenberg-Marquardt refinement of (position, clock offset) on
     the amplitude-eliminated residual follows.  ``cost_trace`` is (best
     fine-cell cost, final cost, solver steps, residual evaluations); the
