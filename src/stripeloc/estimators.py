@@ -389,8 +389,10 @@ class SearchConfig:
     its Fisher covariance (2 J^T J)^-1.  A fine grid (step lambda/40,
     lambda/12 in 3-D) around the coarse minimum, reaching at most
     ``fine_span_wavelengths`` wavelengths out per axis, is scored
-    coherently: only its points within 6 standard deviations per axis of
-    the noncoherent estimate, or all of them when the covariance is
+    coherently: only its points within 6 standard deviations, and at
+    least half a wavelength, per axis of the noncoherent estimate (whose
+    error is mostly bias from the scatterers it leaves out, so the window
+    cannot shrink with the noise), or all of them when the covariance is
     unusable (the refine kept its start, or 2 J^T J is singular or not
     finite).  A refinement of the coherent residual then runs from each of
     the ``n_starts`` best fine cells at least half a wavelength apart.
@@ -906,11 +908,14 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
 
     # fine coherent pass: the coherent basins are narrower than the coarse
     # step, so resolve them before refining.  The lattice around the coarse
-    # cell reaches the configured span; only its points within 6 sigma per
-    # axis of the refined point are scored (the fit leaves the scatterers
-    # out, so its error is mostly bias: the coherent optimum lay up to 5.1
-    # sigma off at 20 dB), all of them without a usable covariance or when
-    # that window misses the lattice.  The lattice is not re-centred: the
+    # cell reaches the configured span; only its points within
+    # max(6 sigma, lambda/2) per axis of the refined point are scored, all
+    # of them without a usable covariance or when that window misses the
+    # lattice.  The fit leaves the scatterers out, so its error is mostly a
+    # bias that does not shrink with sigma: on the estimation scene about
+    # lambda/6 in x, 3 sigma at 20 dB but 9 sigma at 30 dB, where a 6-sigma
+    # window leaves out the lattice's best cell; the lambda/2 floor keeps
+    # the bias inside at any SDNR.  The lattice is not re-centred: the
     # clock-tied coherent cost of a competing lobe can have a valley
     # narrower than the step, and a sub-step shift changes which lobe wins
     fine_step = lam / 40.0 if D == 2 else lam / 12.0
@@ -919,7 +924,8 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     axes = [c + offsets for c in p_coarse[:D]]
     sigmas = _fisher_sigmas(jac)
     if sigmas is not None:
-        near = [np.abs(ax - c) <= 6.0 * s for ax, c, s in zip(axes, p_ncp, sigmas)]
+        half = np.maximum(6.0 * sigmas[:D], 0.5 * lam)
+        near = [np.abs(ax - c) <= h for ax, c, h in zip(axes, p_ncp, half)]
         axes = [ax[m] if m.any() else ax for ax, m in zip(axes, near)]
     fine = _mesh(axes, p_coarse[2])
     _, fine_dtau, fine_cp = _grid_scan(ws, tie, fine, coherent=True)
@@ -966,7 +972,8 @@ def rml_position_search(obs, config: Optional[SearchConfig] = None) -> EstimateR
     noncoherent cost only, on a sub-grid decimated to the cost's narrowest
     lobe plus the full-resolution cells around its best point, and that
     point is refined on the noncoherent residual (see ``SearchConfig``).
-    The fine grid, narrowed to the refined point's Fisher covariance, is
+    The fine grid, narrowed to 6 standard deviations of the refined
+    point's Fisher covariance but to no less than half a wavelength, is
     scored coherently, the phase offset re-estimated in closed form per
     cell.  A Levenberg-Marquardt refinement of (position, clock offset) on
     the amplitude-eliminated residual follows.  ``cost_trace`` is (best

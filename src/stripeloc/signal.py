@@ -186,17 +186,16 @@ def path_gains(scenario, stripe_index: int, paths=None) -> np.ndarray:
     return alphas * np.exp(1j * phases)
 
 
-def noise_free_matrix(scenario, stripe_index: int, paths=None, gains=None) -> np.ndarray:
+def noise_free_matrix(scenario, stripe_index: int, paths=None) -> np.ndarray:
     """Noise-free M x K observation: the sum over paths of gamma * a kron (b * s).
 
-    ``paths`` defaults to the stripe's ``enumerate_paths`` and ``gains`` to
-    their ``path_gains``; pass both to reuse one enumeration."""
+    ``paths`` defaults to the stripe's ``enumerate_paths``; pass them to
+    reuse one enumeration."""
     stripe = scenario.stripes[stripe_index]
     wf = scenario.waveform
     if paths is None:
         paths = enumerate_paths(scenario, stripe_index)
-    if gains is None:
-        gains = path_gains(scenario, stripe_index, paths)
+    gains = path_gains(scenario, stripe_index, paths)
     a = steering_spatial(np.array([q.aoa for q in paths]), stripe.num_antennas,
                          stripe.spacing, wf.wavelength)
     b = steering_frequency(np.array([q.pseudo_delay for q in paths]), wf.K, wf.delta_f)
@@ -293,7 +292,7 @@ def synthesize(scenario, rng_seed, noise_scale: float = 1.0) -> ObservationSet:
     for n, stripe in enumerate(scenario.stripes):
         key = _seed_key(rng_seed, n)
         rng = np.random.default_rng(list(key))
-        Y = noise_free_matrix(scenario, n, paths_all[n], gains_all[n])
+        Y = noise_free_matrix(scenario, n, paths_all[n])
         if noise_scale != 0.0:
             shape = (stripe.num_antennas, scenario.waveform.K)
             Z = math.sqrt(0.5) * (

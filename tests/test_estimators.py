@@ -766,6 +766,22 @@ def test_rml_position_search_resolves_biased_ncp_fit(est_scene, trial):
     assert np.linalg.norm(report.ue_position - sc.ue_position) < 1e-3
 
 
+@pytest.mark.parametrize("seed", [(1, 0), (23, 4)])
+def test_fine_window_keeps_full_lattice_best_at_high_sdnr(est_scene, monkeypatch, seed):
+    # sigma shrinks with the noise but the noncoherent fit's bias (about
+    # lambda/6 in x here) does not: at 30 dB a 6-sigma window leaves out
+    # the lattice's best coherent cell.  The windowed search must score
+    # that cell and end no higher than the search over the whole lattice
+    # (no usable covariance)
+    obs = synthesize(with_sdnr(est_scene, 30.0), rng_seed=seed)
+    windowed = rml_position_search(obs)
+    monkeypatch.setattr(estimators, "_fisher_sigmas", lambda jac: None)
+    full = rml_position_search(obs)
+    assert windowed.cost_trace[0] == full.cost_trace[0]
+    assert windowed.cost <= full.cost * (1.0 + 1e-9)
+    assert np.linalg.norm(windowed.ue_position - est_scene.ue_position) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # null-space scatterer mapping
 # ---------------------------------------------------------------------------
