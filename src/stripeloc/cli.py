@@ -52,7 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_value_list(text: str) -> np.ndarray:
-    """Parse '3', '0,5,10', '1e6:1e9:log25', or '0:30:lin7' into values."""
+    """Parse '3', '0,5,10', '1e6:1e9:log25', or '0:30:lin7' into values;
+    ValueError on a malformed list or a non-finite value."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or len(parts[2]) < 4:
@@ -62,12 +63,17 @@ def parse_value_list(text: str) -> np.ndarray:
         if n < 1:
             raise ValueError("range point count must be >= 1")
         lo, hi = float(parts[0]), float(parts[1])
+        if not np.all(np.isfinite([lo, hi])):
+            raise ValueError(f"non-finite range end in {text!r}")
         if kind == "log":
             return np.geomspace(lo, hi, n)
         if kind == "lin":
             return np.linspace(lo, hi, n)
         raise ValueError(f"unknown range kind {kind!r}; expected log or lin")
-    return np.array([float(v) for v in text.split(",")])
+    values = np.array([float(v) for v in text.split(",")])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite value in {text!r}")
+    return values
 
 
 def resolve_scenario(name: str):

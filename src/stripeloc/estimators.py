@@ -28,6 +28,7 @@ axis-wise norms round differently from the scalar ``geometry`` functions).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -121,32 +122,25 @@ def _aoa_batch(targets: np.ndarray, stripe) -> np.ndarray:
     return wrap_angle(0.5 * np.pi - np.arctan2(local[..., 1], local[..., 0]))
 
 
-def _los_rp_geometry(ws: _Workspace, n: int, positions: np.ndarray):
-    """Angles and geometric delays of LoS + reflected paths, batched.
-
-    ``positions`` has shape (..., 3); returns (thetas, delays) each of shape
-    (..., L) in path order: LoS first, then walls in index order (the
-    stripe's own wall skipped).  Reflections are handled through the mirror
-    image, whose direction from the stripe coincides with the arrival ray.
-    """
+def _path_geometry(ws: _Workspace, n: int, positions: np.ndarray, sp_positions=None):
+    """Angles of arrival and geometric delays (..., L) of every path to
+    stripe ``n`` from UE ``positions`` (..., 3), through one (..., L, 3)
+    stack of arrival points in path order: the UE (LoS), its mirror image in
+    each wall but the stripe's own (seen from the stripe along the reflected
+    ray), then the scatterers ``sp_positions`` (J, 3) or (..., J, 3), whose
+    delays add the UE leg."""
     stripe = ws.stripes[n]
-    pc = stripe.phase_center
-    thetas = [_aoa_batch(positions, stripe)]
-    delays = [np.linalg.norm(positions - pc, axis=-1) / SPEED_OF_LIGHT]
-    for w in reflecting_walls(ws.walls, stripe):
-        mirrored = mirror_ue(positions, ws.walls[w])
-        thetas.append(_aoa_batch(mirrored, stripe))
-        delays.append(np.linalg.norm(mirrored - pc, axis=-1) / SPEED_OF_LIGHT)
-    return np.stack(thetas, axis=-1), np.stack(delays, axis=-1)
-
-
-def _sp_geometry(ws: _Workspace, n: int, sp_positions: np.ndarray, ue_position):
-    """Angle and two-leg geometric delay of scatterer paths, batched over SPs."""
-    stripe = ws.stripes[n]
-    thetas = _aoa_batch(sp_positions, stripe)
-    d_s = np.linalg.norm(sp_positions - stripe.phase_center, axis=-1)
-    d_us = np.linalg.norm(sp_positions - np.asarray(ue_position, float), axis=-1)
-    return thetas, (d_s + d_us) / SPEED_OF_LIGHT
+    points = [positions] + [mirror_ue(positions, ws.walls[w])
+                            for w in reflecting_walls(ws.walls, stripe)]
+    n_geo = len(points)
+    points = np.stack(points, axis=-2)
+    if sp_positions is not None:
+        sps = np.broadcast_to(sp_positions, positions.shape[:-1] + np.shape(sp_positions)[-2:])
+        points = np.concatenate([points, sps], axis=-2)
+    dists = np.linalg.norm(points - stripe.phase_center, axis=-1)
+    if sp_positions is not None:
+        dists[..., n_geo:] += np.linalg.norm(sps - positions[..., None, :], axis=-1)
+    return _aoa_batch(points, stripe), dists / SPEED_OF_LIGHT
 
 
 def _gram_cross(u, a, zt):
@@ -230,19 +224,15 @@ def _stripe_model(ws: _Workspace, n: int, positions, dtaus, sp_positions=None):
     """Stripe ``n``'s response model at batched candidates.
 
     ``positions`` (B, 3) with clock offsets ``dtaus`` (B,) give the path
-    angles and delays (LoS, wall reflections, then the scatterers at
-    ``sp_positions`` (J, 3), or (B, J, 3) per candidate, when given), then
+    angles and delays (``_path_geometry``: LoS, wall reflections, then the
+    scatterers at ``sp_positions`` (J, 3), or (B, J, 3) per candidate), then
     the whitened Kronecker factors u (B, L, K) and a (B, L, M) from the
     signal layer's ``whitened_response_parts``, the same model the bounds
     and the synthesis use.  Returns (u, a, tau_los) with tau_los the
     geometric LoS delay (B,).  Callers run ``_gram_cross`` themselves, so a
     scan frees one stripe's factors before the next stripe's Gram is built.
     """
-    thetas, delays = _los_rp_geometry(ws, n, positions)
-    if sp_positions is not None and len(sp_positions):
-        th_sp, d_sp = _sp_geometry(ws, n, sp_positions, positions[..., None, :])
-        thetas = np.concatenate([thetas, np.broadcast_to(th_sp, d_sp.shape)], axis=-1)
-        delays = np.concatenate([delays, d_sp], axis=-1)
+    thetas, delays = _path_geometry(ws, n, positions, sp_positions)
     u, a = whitened_response_parts(thetas, delays + dtaus[..., None], ws.waveform,
                                    ws.stripes[n], ws.disturbances[n])
     return u, a, delays[..., 0]
@@ -625,25 +615,25 @@ def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
     return gains if exact else cost
 
 
-def _ncp_point(ws: _Workspace, p, delta_tau: float, sp_positions=None, strict: bool = True):
-    """``_ncp_fits`` at one candidate with factors, rank-checked when
-    ``strict``: (xi_sum, fits)."""
-    positions = np.asarray(p, float).reshape(1, 3)
-    xi_sum, fits = _ncp_fits(ws, positions, np.array([float(delta_tau)]), sp_positions,
-                             exact=True)
+def _point_fit(ws: _Workspace, p, delta_tau: float, sp_positions=None, dphi=None,
+               free: bool = False, strict: bool = False):
+    """The amplitude-eliminated fit at one candidate, which every stage's
+    refine minimises: ``_ncp_fits`` at (``p``, ``delta_tau``) with the
+    scatterers ``sp_positions`` (J, 3), rank-checked when ``strict``.  With
+    ``free`` every path gain is free; otherwise each stripe's LoS phase is
+    pinned (``_pinned_costs``) at the phase offset ``dphi``, or when that is
+    None at its closed-form estimate, the phase of the derotated LoS sum.
+    Returns (residual of ``_residuals``, that phase offset, per-stripe
+    gains, derotated LoS sum)."""
+    xi_sum, fits = _ncp_fits(ws, np.asarray(p, float).reshape(1, 3),
+                             np.array([float(delta_tau)]), sp_positions, exact=True)
     if strict:
         for n, fit in enumerate(fits):
             _require_full_rank(n, fit.H[0], fit.rank[0])
-    return complex(xi_sum[0]), fits
-
-
-def _jml_point(ws: _Workspace, eta: WantedParams, strict: bool = False):
-    """Amplitude-eliminated residual (``_residuals``) and per-stripe gains at
-    ``eta``: the free-gain fit over LoS + reflected + scatterer paths with
-    its LoS phase pinned."""
-    _, fits = _ncp_point(ws, eta.position, eta.clock_offset, eta.sp_positions, strict)
-    gains = _pinned_costs(ws, fits, eta.phase_offset, exact=True)
-    return _residuals(ws, fits, gains)[0], [g[0] for g in gains]
+    if dphi is None:
+        dphi = float(np.angle(xi_sum[0]))
+    gains = [fit.gains for fit in fits] if free else _pinned_costs(ws, fits, dphi, exact=True)
+    return _residuals(ws, fits, gains)[0], dphi, [g[0] for g in gains], complex(xi_sum[0])
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +670,14 @@ def jml_amplitudes(eta_w: WantedParams, obs) -> list:
 
     Raises RankDeficient when path responses collide.
     """
-    return _jml_point(_Workspace(obs), eta_w, strict=True)[1]
+    return _point_fit(_Workspace(obs), eta_w.position, eta_w.clock_offset, eta_w.sp_positions,
+                      eta_w.phase_offset, strict=True)[2]
 
 
 def jml_cost(eta_w: WantedParams, obs) -> float:
     """Amplitude-eliminated likelihood cost at a wanted-parameter point."""
-    r = _jml_point(_Workspace(obs), eta_w, strict=True)[0]
+    r = _point_fit(_Workspace(obs), eta_w.position, eta_w.clock_offset, eta_w.sp_positions,
+                   eta_w.phase_offset, strict=True)[0]
     return float(r @ r)
 
 
@@ -696,10 +688,8 @@ def rml_ncp_amplitudes_and_cost(p, delta_tau: float, obs):
     path, the line of sight included, gets an unconstrained complex gain.
     The cost is the exact residual.  Raises RankDeficient when responses collide.
     """
-    ws = _Workspace(obs)
-    _, fits = _ncp_point(ws, p, delta_tau)
-    r = _residuals(ws, fits, [fit.gains for fit in fits])[0]
-    return [fit.gains[0] for fit in fits], float(r @ r)
+    r, _, gains, _ = _point_fit(_Workspace(obs), p, delta_tau, free=True, strict=True)
+    return gains, float(r @ r)
 
 
 def estimate_phase_offset(p, delta_tau: float, obs) -> float:
@@ -712,10 +702,10 @@ def estimate_phase_offset(p, delta_tau: float, obs) -> float:
     Raises ZeroAggregate when the sum is numerically zero (undefined phase),
     RankDeficient when path responses collide.
     """
-    total, _ = _ncp_point(_Workspace(obs), p, delta_tau)
+    _, dphi, _, total = _point_fit(_Workspace(obs), p, delta_tau, free=True, strict=True)
     if abs(total) < 1e-12:
         raise ZeroAggregate("derotated line-of-sight gains sum to zero")
-    return wrap_angle(float(np.angle(total)))
+    return wrap_angle(dphi)
 
 
 # ---------------------------------------------------------------------------
@@ -867,14 +857,6 @@ def _position_steps(ws: _Workspace) -> np.ndarray:
                            [1.0 / (8.0 * ws.waveform.bandwidth)]])
 
 
-def _ncp_residual(ws: _Workspace, x) -> np.ndarray:
-    """Exact noncoherent residual at (p[:D], dtau), every path gain free: the
-    residual ``rml_ncp_amplitudes_and_cost`` forms."""
-    p, dt = _position_clock(ws, x)
-    fits = _ncp_fits(ws, p.reshape(1, 3), np.array([dt]), exact=True)[1]
-    return _residuals(ws, fits, [fit.gains for fit in fits])[0]
-
-
 def _position_stage(obs, cfg: Optional[SearchConfig]):
     """Noncoherent pick and refine, then the coherent grid and refine around
     it: the RML-NCP and RML reports."""
@@ -891,17 +873,17 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     # far from it the coherent basin can lie
     steps = _position_steps(ws)
     x_ncp, ncp_cost, nit, nfev, f0, jac = _lm_refine(
-        lambda x: _ncp_residual(ws, x), np.concatenate([p_coarse[:D], [dt_coarse]]),
-        steps, cfg.refine_maxiter)
+        lambda x: _point_fit(ws, *_position_clock(ws, x), free=True)[0],
+        np.concatenate([p_coarse[:D], [dt_coarse]]), steps, cfg.refine_maxiter)
     p_ncp, dt_ncp = _position_clock(ws, x_ncp)
-    xi_sum, fits = _ncp_point(ws, p_ncp, dt_ncp)
+    _, dphi_ncp, gains_ncp, _ = _point_fit(ws, p_ncp, dt_ncp, free=True, strict=True)
     ncp_report = EstimateReport(
         stage="RML-NCP",
         ue_position=p_ncp,
         clock_offset=dt_ncp,
-        phase_offset=float(np.angle(xi_sum)),
+        phase_offset=dphi_ncp,
         sp_positions=np.empty((0, 3)),
-        amplitudes=tuple(fit.gains[0] for fit in fits),
+        amplitudes=tuple(gains_ncp),
         cost=ncp_cost,
         cost_trace=(f0, ncp_cost, nit, nfev),
     )
@@ -935,22 +917,14 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     start_idx = _separated_minima(fine, fine_cp, 0.5 * lam, max(1, cfg.n_starts))
 
     # coherent stage: local refinement of (p, dtau) from each start, best wins
-    def fit(x):
-        """Exact coherent residual, phase offset and per-stripe gains at x."""
-        p, dt = _position_clock(ws, x)
-        xi_sum, fits = _ncp_fits(ws, p.reshape(1, 3), np.array([dt]), exact=True)
-        dphi = np.angle(xi_sum)
-        gains = _pinned_costs(ws, fits, dphi, exact=True)
-        return _residuals(ws, fits, gains)[0], float(dphi[0]), [g[0] for g in gains]
-
     runs = [
-        _lm_refine(lambda x: fit(x)[0], np.concatenate([fine[idx][:D], [fine_dtau[idx]]]),
-                   steps, cfg.refine_maxiter)
+        _lm_refine(lambda x: _point_fit(ws, *_position_clock(ws, x))[0],
+                   np.concatenate([fine[idx][:D], [fine_dtau[idx]]]), steps, cfg.refine_maxiter)
         for idx in start_idx
     ]
     x_best, final_cost, nit, nfev, _, _ = min(runs, key=lambda r: r[1])
     p_best, dt_best = _position_clock(ws, x_best)
-    _, dphi_best, gains_cp = fit(x_best)
+    _, dphi_best, gains_cp, _ = _point_fit(ws, p_best, dt_best)
     rml_report = EstimateReport(
         stage="RML",
         ue_position=p_best,
@@ -1070,13 +1044,10 @@ def nst_map_scatterers(
             f"found only {len(picked)} separated dips for {J} scatterers"
         )
 
-    def dip_residual(x):
-        fits = _ncp_fits(ws, p_hat.reshape(1, 3), dtaus[:1], x.reshape(1, 3), exact=True)[1]
-        return _residuals(ws, fits, [fit.gains for fit in fits])[0]
-
     steps = np.full(3, config.step / 2.0)
     return [
-        _lm_refine(dip_residual, cands[idx].copy(), steps, config.refine_maxiter)[0]
+        _lm_refine(lambda x: _point_fit(ws, p_hat, delta_tau_hat, x.reshape(1, 3), free=True)[0],
+                   cands[idx].copy(), steps, config.refine_maxiter)[0]
         for idx in picked
     ]
 
@@ -1099,23 +1070,15 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
     ws = _Workspace(obs)
     D = ws.D
     z_fill = ws.known_height if D == 2 else 0.0
-    wf = ws.waveform
     x0 = initial.wanted().flat(D)
-
-    def residual(x):
-        return _jml_point(ws, WantedParams.from_flat(x, D, z_fill))[0]
-
-    lam = wf.wavelength
-    steps = np.concatenate(
-        [
-            np.full(D, lam / 8.0),
-            [1.0 / (8.0 * wf.bandwidth), 0.1],
-            np.full(3 * initial.sp_positions.shape[0], lam / 8.0),
-        ]
-    )
-    x_best, f_best, nit, nfev, f0, _ = _lm_refine(residual, x0, steps, maxiter)
+    steps = np.concatenate([_position_steps(ws), [0.1],
+                            np.full(initial.sp_positions.size, ws.waveform.wavelength / 8.0)])
+    x_best, f_best, nit, nfev, f0, _ = _lm_refine(
+        lambda x: _point_fit(ws, *_position_clock(ws, x), x[D + 2 :].reshape(-1, 3),
+                             float(x[D + 1]))[0],
+        x0, steps, maxiter)
     eta = WantedParams.from_flat(x_best, D, z_fill)
-    _, gains = _jml_point(ws, eta)
+    gains = _point_fit(ws, eta.position, eta.clock_offset, eta.sp_positions, eta.phase_offset)[2]
     return EstimateReport(
         stage="JML",
         ue_position=eta.position,
@@ -1150,15 +1113,7 @@ def run_pipeline(
         rml_report.phase_offset,
         config=nst,
     )
-    nst_report = EstimateReport(
-        stage="NST",
-        ue_position=rml_report.ue_position,
-        clock_offset=rml_report.clock_offset,
-        phase_offset=rml_report.phase_offset,
-        sp_positions=np.array(sps).reshape(-1, 3),
-        amplitudes=None,
-        cost=rml_report.cost,
-        cost_trace=(),
-    )
+    nst_report = dataclasses.replace(rml_report, stage="NST", amplitudes=None, cost_trace=(),
+                                     sp_positions=np.array(sps).reshape(-1, 3))
     jml_report = jml_refine(nst_report, obs, maxiter=jml_maxiter)
     return ncp_report, rml_report, nst_report, jml_report

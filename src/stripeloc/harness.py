@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import StripelocError
 from .estimators import NstConfig, SearchConfig, require_cp_sync, run_pipeline
-from .fim import FimOptions, SyncMode, compute_bounds, peb_heatmap
+from .fim import BoundsReport, FimOptions, SyncMode, compute_bounds, peb_heatmap
 from .geometry import SPEED_OF_LIGHT, wrap_angle
 from .scenario import Scenario, with_antennas, with_bandwidth, with_sdnr
 from .signal import synthesize
@@ -290,21 +290,17 @@ def run_monte_carlo(
         per_stage = {stage: {m: [] for m in METRICS} for stage in STAGES}
 
         def one(t, _sc=sc, _si=si):
-            return _run_one_trial(
-                _sc, (master_seed, _si, t), noise_scale, search, nst, jml_maxiter
-            )
+            try:
+                return _run_one_trial(
+                    _sc, (master_seed, _si, t), noise_scale, search, nst, jml_maxiter
+                )
+            except Exception as exc:  # recorded as this trial's failure
+                return exc
 
-        results: dict = {}
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(one, t): t for t in range(trials)}
-            for fut in concurrent.futures.as_completed(futs):
-                try:
-                    results[futs[fut]] = fut.result()
-                except Exception as exc:
-                    results[futs[fut]] = exc
+            results = list(pool.map(one, range(trials)))
 
-        for t in range(trials):  # fixed order keeps aggregation reproducible
-            res = results[t]
+        for t, res in enumerate(results):  # trial order keeps aggregation reproducible
             if isinstance(res, Exception):
                 failures.append(
                     {
@@ -388,33 +384,13 @@ def run_bounds_sweep(
                 options = FimOptions(sync_mode=sync, D=carved.D, known_rp_phases=known)
                 try:
                     rep = compute_bounds(carved, options)
-                    row = {
-                        "peb_m": rep.peb,
-                        "ceb_s": rep.ceb,
-                        "ceb_m": rep.ceb_m,
-                        "cpeb_rad": rep.cpeb,
-                        "sp_peb_m": ";".join(repr(float(v)) for v in rep.sp_peb),
-                        "efim_cond": rep.efim_cond,
-                        "note": rep.note,
-                    }
                 except (StripelocError, np.linalg.LinAlgError) as exc:
-                    row = {
-                        "peb_m": float("inf"),
-                        "ceb_s": float("inf"),
-                        "ceb_m": float("inf"),
-                        "cpeb_rad": float("inf"),
-                        "sp_peb_m": "",
-                        "efim_cond": float("inf"),
-                        "note": f"{type(exc).__name__}: {exc}",
-                    }
-                row = {
-                    "sweep": sweep,
-                    "value": float(value),
-                    "sync": sync.value,
-                    "case": case,
-                    **row,
-                }
-                rows.append(row)
+                    inf, note = float("inf"), f"{type(exc).__name__}: {exc}"
+                    rep = BoundsReport(inf, inf, inf, np.empty(0), inf, note)
+                sp_peb = ";".join(repr(float(v)) for v in rep.sp_peb)
+                fields = (sweep, float(value), sync.value, case, rep.peb, rep.ceb, rep.ceb_m,
+                          rep.cpeb, sp_peb, rep.efim_cond, rep.note)
+                rows.append(dict(zip(BOUNDS_COLUMNS, fields)))
     return rows
 
 

@@ -216,15 +216,21 @@ def _get(node: dict, key: str, parent: str):
     return node[key]
 
 
+def _finite(v, where: str) -> float:
+    """``v`` as a float; SchemaError unless it is a finite number (not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, _NUMBER):
+        raise SchemaError(f"{where}: expected a number")
+    if not math.isfinite(v):
+        raise SchemaError(f"{where}: expected a finite number")
+    return float(v)
+
+
 def _num(node: dict, key: str, parent: str, default: float | None = None) -> float:
-    """A numeric field (not a bool); ``default``, when given, stands in for
-    a missing one."""
+    """A finite numeric field (not a bool); ``default``, when given, stands
+    in for a missing one."""
     if default is not None and isinstance(node, dict) and key not in node:
         return default
-    v = _get(node, key, parent)
-    if isinstance(v, bool) or not isinstance(v, _NUMBER):
-        raise SchemaError(f"{_path(parent, key)}: expected a number")
-    return float(v)
+    return _finite(_get(node, key, parent), _path(parent, key))
 
 
 def _int(node: dict, key: str, parent: str) -> int:
@@ -242,6 +248,8 @@ def _vec3(node: dict, key: str, parent: str) -> np.ndarray:
         or any(isinstance(x, bool) or not isinstance(x, _NUMBER) for x in v)
     ):
         raise SchemaError(f"{_path(parent, key)}: expected a list of 3 numbers")
+    if not all(math.isfinite(x) for x in v):
+        raise SchemaError(f"{_path(parent, key)}: expected a finite number")
     return np.array(v, dtype=float)
 
 
@@ -251,7 +259,7 @@ _LAMBDA_RE = re.compile(r"^lambda(?:\s*/\s*([0-9]*\.?[0-9]+))?$")
 def _spacing(value, wavelength: float, where: str) -> float:
     """Spacing in meters, either numeric or symbolic 'lambda/<x>'."""
     if isinstance(value, _NUMBER) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value, where)
     if isinstance(value, str):
         m = _LAMBDA_RE.match(value.strip().lower())
         if m:
@@ -329,9 +337,11 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     clock_offset = _num(ue, "clock_offset_s", "ue")
     phi = _get(ue, "phase_offset_rad", "ue")
     if isinstance(phi, list):
-        phase_offsets = np.array(phi, dtype=float)
+        phase_offsets = np.array(
+            [_finite(x, f"ue.phase_offset_rad[{i}]") for i, x in enumerate(phi)], dtype=float
+        )
     elif isinstance(phi, _NUMBER) and not isinstance(phi, bool):
-        phase_offsets = np.full(len(stripes), float(phi))
+        phase_offsets = np.full(len(stripes), _finite(phi, "ue.phase_offset_rad"))
     else:
         raise SchemaError("ue.phase_offset_rad: expected a number or list")
     e_ue = _vec3(ue, "polarization", "ue")

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from stripeloc.channel import DmcParams, Material, Scatterer
+from stripeloc.estimators import WantedParams
 from stripeloc.fim import SyncMode
 from stripeloc.geometry import Stripe
 from stripeloc.scenario import Scenario, rect_room_walls, wall_midpoint_stripes
@@ -16,6 +17,16 @@ from stripeloc.signal import Waveform
 
 def rand_cpx(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def truth_params(scenario) -> WantedParams:
+    """The scenario's true wanted parameters (phase offset of stripe 0)."""
+    return WantedParams(
+        position=scenario.ue_position,
+        clock_offset=scenario.clock_offset,
+        phase_offset=float(scenario.phase_offsets[0]),
+        sp_positions=np.array([s.position for s in scenario.scatterers]).reshape(-1, 3),
+    )
 
 
 def random_small_scenario(rng: np.random.Generator) -> Scenario:

@@ -21,13 +21,12 @@ import time
 
 import numpy as np
 
-from conftest import random_small_scenario
+from conftest import random_small_scenario, truth_params
 import oracles
 
 from stripeloc.channel import DmcParams, disturbance_covariance
 from stripeloc.cli import cli
 from stripeloc.estimators import (
-    WantedParams,
     cp_cost_slice,
     jml_amplitudes,
     jml_cost,
@@ -58,15 +57,6 @@ from stripeloc.signal import (
 def _line(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def _truth(scenario) -> WantedParams:
-    return WantedParams(
-        position=scenario.ue_position,
-        clock_offset=scenario.clock_offset,
-        phase_offset=float(scenario.phase_offsets[0]),
-        sp_positions=np.array([s.position for s in scenario.scatterers]).reshape(-1, 3),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +327,7 @@ def test_06_null_space_annihilation():
 def test_07_exact_recovery():
     sc = estimation_scenario()
     obs = synthesize(sc, rng_seed=7, noise_scale=0.0)
-    eta = _truth(sc)
+    eta = truth_params(sc)
     gains = jml_amplitudes(eta, obs)
     rel = max(
         float(np.max(np.abs(gains[n] - path_gains(sc, n)) / np.abs(path_gains(sc, n))))

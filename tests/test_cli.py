@@ -1,6 +1,7 @@
 """Command-line interface tests: flag parsing, output formats, exit codes."""
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -27,7 +28,10 @@ def test_parse_value_list_forms():
     assert lin.tolist() == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
 
 
-@pytest.mark.parametrize("bad", ["1e6:1e9", "1e6:1e9:geo5", "1:2:log0", "a,b"])
+@pytest.mark.parametrize(
+    "bad",
+    ["1e6:1e9", "1e6:1e9:geo5", "1:2:log0", "a,b", "nan", "1,inf", "1e6:inf:log5", "nan:30:lin7"],
+)
 def test_parse_value_list_rejects(bad):
     with pytest.raises(ValueError):
         parse_value_list(bad)
@@ -81,9 +85,11 @@ def test_non_integer_dimensions_exits_1(dims, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field", ["waveform.temperature_k", "materials.concrete.mu_r", "materials.concrete.sigma_s_per_m"]
+    "field",
+    ["waveform.temperature_k", "materials.concrete.mu_r", "materials.concrete.sigma_s_per_m",
+     "room.width_m"],
 )
-@pytest.mark.parametrize("value", [True, "hot"])
+@pytest.mark.parametrize("value", [True, "hot", math.nan, math.inf])
 def test_non_numeric_optional_field_exits_1(field, value, tmp_path, capsys):
     *parents, key = field.split(".")
 
@@ -94,7 +100,25 @@ def test_non_numeric_optional_field_exits_1(field, value, tmp_path, capsys):
 
     path = _canonical_with(tmp_path, edit)
     assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
-    assert f"{field}: expected a number" in capsys.readouterr().err
+    expected = "a finite number" if isinstance(value, float) else "a number"
+    assert f"{field}: expected {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("position_m", [3.03, math.inf, 1.0], "ue.position_m: expected a finite number"),
+        ("phase_offset_rad", [0.0, math.nan, 0.0, 0.0],
+         "ue.phase_offset_rad[1]: expected a finite number"),
+        ("phase_offset_rad", [True, False, False, False],
+         "ue.phase_offset_rad[0]: expected a number"),
+    ],
+    ids=["position-inf", "phase-nan", "phase-bool"],
+)
+def test_bad_ue_list_entry_exits_1(key, value, message, tmp_path, capsys):
+    path = _canonical_with(tmp_path, lambda cfg: cfg["ue"].update({key: value}))
+    assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_optional_numeric_fields_default(tmp_path):

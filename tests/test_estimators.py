@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import truth_params
 
 from stripeloc import estimators
 from stripeloc.channel import DmcParams, Material, Scatterer
@@ -48,6 +50,7 @@ from stripeloc.estimators import (
 from stripeloc.fim import FimOptions, SyncMode, compute_bounds, efim, global_fim
 from stripeloc.geometry import (
     SPEED_OF_LIGHT,
+    PathKind,
     Stripe,
     aoa,
     enumerate_paths,
@@ -127,15 +130,6 @@ def small_scene(
     )
 
 
-def truth_params(scenario) -> WantedParams:
-    return WantedParams(
-        position=scenario.ue_position,
-        clock_offset=scenario.clock_offset,
-        phase_offset=scenario.phase_offsets[0],
-        sp_positions=np.array([s.position for s in scenario.scatterers]).reshape(-1, 3),
-    )
-
-
 def whitened_vec(obs, n) -> np.ndarray:
     """Whitened observation as an antenna-fastest vector (independent of the
     estimator internals)."""
@@ -204,6 +198,37 @@ def test_estimate_report_wraps_phase():
         cost=1.0,
     )
     assert abs(r.phase_offset - 0.3) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched path geometry
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scene, n_sp", [(estimation_scenario, 1), (canonical_scenario, 2)])
+def test_path_geometry_matches_enumerate_paths(scene, n_sp):
+    # the estimators' batched angles and delays duplicate geometry.aoa and
+    # path_delay, and differ from them only in the last bit: numpy's arctan2
+    # against math.atan2, mirror-image against two-leg reflection delays
+    sc = scene()
+    ws = SimpleNamespace(stripes=sc.stripes, walls=sc.walls)
+    (x0, x1), (y0, y1) = estimators._axis_aligned_box(ws)
+    positions = np.random.default_rng(7).uniform([x0 + 0.3, y0 + 0.3, 0.3],
+                                                 [x1 - 0.3, y1 - 0.3, 2.2], (16, 3))
+    sps = np.array([s.position for s in sc.scatterers])
+    assert len(sps) == n_sp
+    per_candidate = np.broadcast_to(sps, (len(positions),) + sps.shape)
+    for n in range(len(sc.stripes)):
+        thetas, delays = estimators._path_geometry(ws, n, positions, sps)
+        batched = estimators._path_geometry(ws, n, positions, per_candidate)
+        np.testing.assert_array_equal(batched[0], thetas)
+        np.testing.assert_array_equal(batched[1], delays)
+        for p, theta, delay in zip(positions, thetas, delays):
+            paths = enumerate_paths(dataclasses.replace(sc, ue_position=p, clock_offset=0.0), n)
+            assert {path.kind for path in paths} == set(PathKind)
+            np.testing.assert_allclose(theta, [path.aoa for path in paths], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(delay, [path.pseudo_delay for path in paths],
+                                       rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +762,9 @@ def test_ncp_refine_covariance_equals_ncp_bounds(est_scene):
     obs = synthesize(sc, rng_seed=11, noise_scale=0.0)
     ws = estimators._Workspace(obs)
     x0 = np.concatenate([sc.ue_position[: sc.D], [sc.clock_offset]])
-    jac = estimators._lm_refine(lambda x: estimators._ncp_residual(ws, x), x0,
-                                estimators._position_steps(ws), 600)[5]
+    jac = estimators._lm_refine(
+        lambda x: estimators._point_fit(ws, *estimators._position_clock(ws, x), free=True)[0],
+        x0, estimators._position_steps(ws), 600)[5]
     sigmas = estimators._fisher_sigmas(jac)
     b = compute_bounds(sc, FimOptions(sync_mode=SyncMode.NCP, D=sc.D))
     assert abs(math.sqrt(np.sum(sigmas[: sc.D] ** 2)) - b.peb) <= 1e-5 * b.peb
