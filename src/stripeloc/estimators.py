@@ -65,6 +65,8 @@ _NST_EXCLUSION_STEPS = 3
 # Levenberg-Marquardt ftol, xtol and gtol of every refine; at 1e-10 JML
 # stopped up to 6.5e-10 relative above a derivative-free search's costs
 _LM_TOL = 1e-12
+# relative forward-difference step of scipy's '2-point' rule for float64
+_FD_STEP = np.finfo(float).eps ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -615,25 +617,28 @@ def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
     return gains if exact else cost
 
 
-def _point_fit(ws: _Workspace, p, delta_tau: float, sp_positions=None, dphi=None,
+def _point_fit(ws: _Workspace, p, delta_tau, sp_positions=None, dphi=None,
                free: bool = False, strict: bool = False):
-    """The amplitude-eliminated fit at one candidate, which every stage's
-    refine minimises: ``_ncp_fits`` at (``p``, ``delta_tau``) with the
-    scatterers ``sp_positions`` (J, 3), rank-checked when ``strict``.  With
-    ``free`` every path gain is free; otherwise each stripe's LoS phase is
-    pinned (``_pinned_costs``) at the phase offset ``dphi``, or when that is
-    None at its closed-form estimate, the phase of the derotated LoS sum.
-    Returns (residual of ``_residuals``, that phase offset, per-stripe
-    gains, derotated LoS sum)."""
-    xi_sum, fits = _ncp_fits(ws, np.asarray(p, float).reshape(1, 3),
-                             np.array([float(delta_tau)]), sp_positions, exact=True)
+    """The amplitude-eliminated fit at a few candidates, which every stage's
+    refine minimises: ``_ncp_fits`` at positions ``p`` (B, 3) with clock
+    offsets ``delta_tau`` (B,) and the scatterers ``sp_positions`` (J, 3), or
+    (B, J, 3) per candidate, rank-checked when ``strict``.  With ``free``
+    every path gain is free; otherwise each stripe's LoS phase is pinned
+    (``_pinned_costs``) at the phase offsets ``dphi`` (B,), or when that is
+    None at their closed-form estimate, the phase of the derotated LoS sum.
+    A single candidate may be given unbatched (p (3,), scalar offsets).
+    Returns per candidate: (residuals (B, R) of ``_residuals``, those phase
+    offsets (B,), per-stripe gains (B, L), derotated LoS sums (B,))."""
+    p = np.asarray(p, float).reshape(-1, 3)
+    xi_sum, fits = _ncp_fits(ws, p, np.asarray(delta_tau, float).reshape(-1), sp_positions,
+                             exact=True)
     if strict:
         for n, fit in enumerate(fits):
-            _require_full_rank(n, fit.H[0], fit.rank[0])
-    if dphi is None:
-        dphi = float(np.angle(xi_sum[0]))
+            for H, rank in zip(fit.H, fit.rank):
+                _require_full_rank(n, H, rank)
+    dphi = np.angle(xi_sum) if dphi is None else np.asarray(dphi, float).reshape(-1)
     gains = [fit.gains for fit in fits] if free else _pinned_costs(ws, fits, dphi, exact=True)
-    return _residuals(ws, fits, gains)[0], dphi, [g[0] for g in gains], complex(xi_sum[0])
+    return _residuals(ws, fits, gains), dphi, gains, xi_sum
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +675,15 @@ def jml_amplitudes(eta_w: WantedParams, obs) -> list:
 
     Raises RankDeficient when path responses collide.
     """
-    return _point_fit(_Workspace(obs), eta_w.position, eta_w.clock_offset, eta_w.sp_positions,
-                      eta_w.phase_offset, strict=True)[2]
+    gains = _point_fit(_Workspace(obs), eta_w.position, eta_w.clock_offset, eta_w.sp_positions,
+                       eta_w.phase_offset, strict=True)[2]
+    return [g[0] for g in gains]
 
 
 def jml_cost(eta_w: WantedParams, obs) -> float:
     """Amplitude-eliminated likelihood cost at a wanted-parameter point."""
     r = _point_fit(_Workspace(obs), eta_w.position, eta_w.clock_offset, eta_w.sp_positions,
-                   eta_w.phase_offset, strict=True)[0]
+                   eta_w.phase_offset, strict=True)[0][0]
     return float(r @ r)
 
 
@@ -689,7 +695,7 @@ def rml_ncp_amplitudes_and_cost(p, delta_tau: float, obs):
     The cost is the exact residual.  Raises RankDeficient when responses collide.
     """
     r, _, gains, _ = _point_fit(_Workspace(obs), p, delta_tau, free=True, strict=True)
-    return gains, float(r @ r)
+    return [g[0] for g in gains], float(r[0] @ r[0])
 
 
 def estimate_phase_offset(p, delta_tau: float, obs) -> float:
@@ -703,9 +709,9 @@ def estimate_phase_offset(p, delta_tau: float, obs) -> float:
     RankDeficient when path responses collide.
     """
     _, dphi, _, total = _point_fit(_Workspace(obs), p, delta_tau, free=True, strict=True)
-    if abs(total) < 1e-12:
+    if abs(total[0]) < 1e-12:
         raise ZeroAggregate("derotated line-of-sight gains sum to zero")
-    return wrap_angle(dphi)
+    return wrap_angle(float(dphi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -714,36 +720,60 @@ def estimate_phase_offset(p, delta_tau: float, obs) -> float:
 
 
 def _lm_refine(residual, x0: np.ndarray, steps: np.ndarray, maxiter: int):
-    """Levenberg-Marquardt on r(x0 + steps * s): forward-difference Jacobians
-    and the trust region both live in the scaled coordinates s (scipy's
-    default Jacobian-norm scaling crept for hundreds of steps on NST dips).
+    """Levenberg-Marquardt on r(x0 + steps * s), for a ``residual`` that maps
+    candidates (B, n) to their residuals (B, R): the forward-difference
+    Jacobians and the trust region both live in the scaled coordinates s
+    (scipy's default Jacobian-norm scaling crept for hundreds of steps on NST
+    dips).  Each Jacobian is one batched residual call over the n difference
+    points, taken by scipy 1.17's own '2-point' rule, so the solver sees the
+    bits it would compute column by column: h = sqrt(eps) sign(s) max(1, |s|)
+    (sign(0) = +1), column j = (r(s + h_j e_j) - r(s)) / ((s_j + h_j) - s_j).
+    r(s) is the last residual call's when that was at s, else one more row
+    of the batch; so is the Jacobian that scipy's ``call_minpack`` takes at
+    the returned point after MINPACK stops (``J = jac(x)``).
     Returns (x_best, f_best, nit, nfev, f0, jac): f = ||r||^2, nit the
-    solver's steps (capped near ``maxiter``), nfev every residual call, jac
-    the Jacobian dr/dx at x_best in the coordinates of x.  f0 is read from
-    the solver's first residual call, which is at the start; only without a
-    solver run (``maxiter=0``) is the start evaluated directly.  After
-    MINPACK stops, scipy 1.17's ``call_minpack`` takes one more
-    forward-difference Jacobian at the returned point (``J = jac(x)``), and
-    no option skips those n calls; that Jacobian is the one returned.
-    ``x0`` comes back, with jac None, when no step is allowed, when the
-    residual raises LinAlgError after the start (at the start it
-    propagates), or when the solver ends above f0."""
+    solver's steps (its residual evaluations, capped near ``maxiter``), nfev
+    the residual calls, a batched Jacobian counting as one, jac the Jacobian
+    dr/dx at x_best in the coordinates of x.  f0 is read from the solver's
+    first residual call, which is at the start; only without a solver run
+    (``maxiter=0``) is the start evaluated directly.  ``x0`` comes back,
+    with jac None, when no step is allowed, when the residual raises
+    LinAlgError after the start (at the start it propagates), or when the
+    solver ends above f0."""
     nfev = 0
     f0 = None
+    last = None  # (s, r) of the last single-point call
+
+    def batch(S):
+        nonlocal nfev
+        nfev += 1
+        return residual(x0 + steps * S)
 
     def scaled(s):
-        nonlocal nfev, f0
-        nfev += 1
-        r = residual(x0 + steps * s)
+        nonlocal last, f0
+        r = batch(s[None])[0]
         if f0 is None:
             f0 = float(r @ r)
+        last = (s.copy(), r)
         return r
+
+    def jac(s):
+        n = len(s)
+        h = _FD_STEP * np.where(s >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(s))
+        S = np.tile(s, (n, 1))
+        S[np.arange(n), np.arange(n)] = s + h
+        if last is not None and np.array_equal(last[0], s):
+            R, r = batch(S), last[1]
+        else:
+            R = batch(np.vstack([S, s]))
+            R, r = R[:n], R[n]
+        return ((R - r) / ((s + h) - s)[:, None]).T
 
     s0 = np.zeros(len(x0))
     res = None
     if maxiter > 0:
         try:
-            res = least_squares(scaled, s0, method="lm", ftol=_LM_TOL, xtol=_LM_TOL,
+            res = least_squares(scaled, s0, jac=jac, method="lm", ftol=_LM_TOL, xtol=_LM_TOL,
                                 gtol=_LM_TOL, x_scale=1.0, max_nfev=maxiter)
         except np.linalg.LinAlgError:
             if f0 is None:
@@ -844,10 +874,15 @@ def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
     return best
 
 
-def _position_clock(ws: _Workspace, x):
-    """Position (3,) and clock offset of a position-stage vector (p[:D], dtau);
-    in 2-D mode the position sits at the known UE height."""
-    return np.concatenate([x[: ws.D], [ws.known_height] * (3 - ws.D)]), float(x[ws.D])
+def _position_clock(ws: _Workspace, X):
+    """Positions (B, 3) and clock offsets (B,) of position-stage vectors
+    (p[:D], dtau) stacked as X (B, D + 1); in 2-D mode the positions sit at
+    the known UE height."""
+    positions = np.empty((len(X), 3))
+    positions[:, : ws.D] = X[:, : ws.D]
+    if ws.D == 2:
+        positions[:, 2] = ws.known_height
+    return positions, X[:, ws.D]
 
 
 def _position_steps(ws: _Workspace) -> np.ndarray:
@@ -873,17 +908,17 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     # far from it the coherent basin can lie
     steps = _position_steps(ws)
     x_ncp, ncp_cost, nit, nfev, f0, jac = _lm_refine(
-        lambda x: _point_fit(ws, *_position_clock(ws, x), free=True)[0],
+        lambda X: _point_fit(ws, *_position_clock(ws, X), free=True)[0],
         np.concatenate([p_coarse[:D], [dt_coarse]]), steps, cfg.refine_maxiter)
-    p_ncp, dt_ncp = _position_clock(ws, x_ncp)
+    (p_ncp,), (dt_ncp,) = _position_clock(ws, x_ncp[None])
     _, dphi_ncp, gains_ncp, _ = _point_fit(ws, p_ncp, dt_ncp, free=True, strict=True)
     ncp_report = EstimateReport(
         stage="RML-NCP",
         ue_position=p_ncp,
-        clock_offset=dt_ncp,
-        phase_offset=dphi_ncp,
+        clock_offset=float(dt_ncp),
+        phase_offset=float(dphi_ncp[0]),
         sp_positions=np.empty((0, 3)),
-        amplitudes=tuple(gains_ncp),
+        amplitudes=tuple(g[0] for g in gains_ncp),
         cost=ncp_cost,
         cost_trace=(f0, ncp_cost, nit, nfev),
     )
@@ -918,20 +953,20 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
 
     # coherent stage: local refinement of (p, dtau) from each start, best wins
     runs = [
-        _lm_refine(lambda x: _point_fit(ws, *_position_clock(ws, x))[0],
+        _lm_refine(lambda X: _point_fit(ws, *_position_clock(ws, X))[0],
                    np.concatenate([fine[idx][:D], [fine_dtau[idx]]]), steps, cfg.refine_maxiter)
         for idx in start_idx
     ]
     x_best, final_cost, nit, nfev, _, _ = min(runs, key=lambda r: r[1])
-    p_best, dt_best = _position_clock(ws, x_best)
+    (p_best,), (dt_best,) = _position_clock(ws, x_best[None])
     _, dphi_best, gains_cp, _ = _point_fit(ws, p_best, dt_best)
     rml_report = EstimateReport(
         stage="RML",
         ue_position=p_best,
-        clock_offset=dt_best,
-        phase_offset=dphi_best,
+        clock_offset=float(dt_best),
+        phase_offset=float(dphi_best[0]),
         sp_positions=np.empty((0, 3)),
-        amplitudes=tuple(g[0] for g in gains_cp),
+        amplitudes=tuple(g[0, 0] for g in gains_cp),
         cost=final_cost,
         cost_trace=(float(fine_cp[start_idx[0]]), final_cost, nit, nfev),
     )
@@ -951,9 +986,12 @@ def rml_position_search(obs, config: Optional[SearchConfig] = None) -> EstimateR
     scored coherently, the phase offset re-estimated in closed form per
     cell.  A Levenberg-Marquardt refinement of (position, clock offset) on
     the amplitude-eliminated residual follows.  ``cost_trace`` is (best
-    fine-cell cost, final cost, solver steps, residual evaluations); the
-    refinement starts from that cell and never ends above its cost.  Raises
-    SemanticError under ``sync_mode=ncp``.
+    fine-cell cost, final cost, solver steps, model calls) of the best
+    start's refinement: the solver's steps are its residual evaluations, and
+    the model calls count each of those once and each finite-difference
+    Jacobian, one batched call, once more.  The refinement starts from that
+    cell and never ends above its cost.  Raises SemanticError under
+    ``sync_mode=ncp``.
     """
     return _position_stage(obs, config)[1]
 
@@ -1046,7 +1084,9 @@ def nst_map_scatterers(
 
     steps = np.full(3, config.step / 2.0)
     return [
-        _lm_refine(lambda x: _point_fit(ws, p_hat, delta_tau_hat, x.reshape(1, 3), free=True)[0],
+        _lm_refine(lambda X: _point_fit(ws, np.broadcast_to(p_hat, X.shape),
+                                        np.full(len(X), float(delta_tau_hat)),
+                                        X[:, None, :], free=True)[0],
                    cands[idx].copy(), steps, config.refine_maxiter)[0]
         for idx in picked
     ]
@@ -1063,8 +1103,11 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
     Levenberg-Marquardt on the amplitude-eliminated residual over position,
     clock and phase offsets and scatterer positions, for at most about
     ``maxiter`` steps; the returned cost never exceeds the initial one.
-    ``cost_trace`` is (initial cost, final cost, solver steps, residual
-    evaluations).  Raises SemanticError under ``sync_mode=ncp``.
+    ``cost_trace`` is (initial cost, final cost, solver steps, model calls):
+    the solver's steps are its residual evaluations, and the model calls
+    count each of those once and each finite-difference Jacobian, one batched
+    call over all parameters, once more (``_lm_refine``).  Raises
+    SemanticError under ``sync_mode=ncp``.
     """
     require_cp_sync(obs.scenario)
     ws = _Workspace(obs)
@@ -1074,8 +1117,8 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
     steps = np.concatenate([_position_steps(ws), [0.1],
                             np.full(initial.sp_positions.size, ws.waveform.wavelength / 8.0)])
     x_best, f_best, nit, nfev, f0, _ = _lm_refine(
-        lambda x: _point_fit(ws, *_position_clock(ws, x), x[D + 2 :].reshape(-1, 3),
-                             float(x[D + 1]))[0],
+        lambda X: _point_fit(ws, *_position_clock(ws, X), X[:, D + 2 :].reshape(len(X), -1, 3),
+                             X[:, D + 1])[0],
         x0, steps, maxiter)
     eta = WantedParams.from_flat(x_best, D, z_fill)
     gains = _point_fit(ws, eta.position, eta.clock_offset, eta.sp_positions, eta.phase_offset)[2]
@@ -1085,7 +1128,7 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
         clock_offset=eta.clock_offset,
         phase_offset=eta.phase_offset,
         sp_positions=eta.sp_positions,
-        amplitudes=tuple(gains),
+        amplitudes=tuple(g[0] for g in gains),
         cost=f_best,
         cost_trace=(f0, f_best, nit, nfev),
     )

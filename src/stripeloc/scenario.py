@@ -220,9 +220,13 @@ def _finite(v, where: str) -> float:
     """``v`` as a float; SchemaError unless it is a finite number (not a bool)."""
     if isinstance(v, bool) or not isinstance(v, _NUMBER):
         raise SchemaError(f"{where}: expected a number")
-    if not math.isfinite(v):
+    try:
+        x = float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
         raise SchemaError(f"{where}: expected a finite number")
-    return float(v)
+    return x
 
 
 def _num(node: dict, key: str, parent: str, default: float | None = None) -> float:
@@ -248,9 +252,7 @@ def _vec3(node: dict, key: str, parent: str) -> np.ndarray:
         or any(isinstance(x, bool) or not isinstance(x, _NUMBER) for x in v)
     ):
         raise SchemaError(f"{_path(parent, key)}: expected a list of 3 numbers")
-    if not all(math.isfinite(x) for x in v):
-        raise SchemaError(f"{_path(parent, key)}: expected a finite number")
-    return np.array(v, dtype=float)
+    return np.array([_finite(x, _path(parent, key)) for x in v])
 
 
 _LAMBDA_RE = re.compile(r"^lambda(?:\s*/\s*([0-9]*\.?[0-9]+))?$")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 import stripeloc.cli as cli_mod
 from stripeloc.cli import cli, parse_value_list, resolve_scenario
-from stripeloc.errors import SearchFailure
+from stripeloc.errors import SchemaError, SearchFailure
 from stripeloc.harness import BOUNDS_COLUMNS, METRICS_COLUMNS
+from stripeloc.scenario import load_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,28 @@ def test_bad_ue_list_entry_exits_1(key, value, message, tmp_path, capsys):
     path = _canonical_with(tmp_path, lambda cfg: cfg["ue"].update({key: value}))
     assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda cfg: cfg["room"].update(width_m=10**400), "room.width_m"),
+        (lambda cfg: cfg["ue"].update(position_m=[3, -(10**400), 1]), "ue.position_m"),
+        (lambda cfg: cfg["ue"].update(phase_offset_rad=[0, 10**400, 0, 0]),
+         "ue.phase_offset_rad[1]"),
+    ],
+    ids=["room", "ue-position", "ue-phase"],
+)
+def test_loader_refuses_integer_beyond_float_range(edit, field, tmp_path):
+    # json reads 10**400 as a Python int, which float() cannot convert
+    with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: expected a finite number$"):
+        load_scenario(_canonical_with(tmp_path, edit))
+
+
+def test_integer_beyond_float_range_exits_1(tmp_path, capsys):
+    path = _canonical_with(tmp_path, lambda cfg: cfg["room"].update(width_m=10**400))
+    assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
+    assert "room.width_m: expected a finite number" in capsys.readouterr().err
 
 
 def test_optional_numeric_fields_default(tmp_path):

@@ -763,7 +763,7 @@ def test_ncp_refine_covariance_equals_ncp_bounds(est_scene):
     ws = estimators._Workspace(obs)
     x0 = np.concatenate([sc.ue_position[: sc.D], [sc.clock_offset]])
     jac = estimators._lm_refine(
-        lambda x: estimators._point_fit(ws, *estimators._position_clock(ws, x), free=True)[0],
+        lambda X: estimators._point_fit(ws, *estimators._position_clock(ws, X), free=True)[0],
         x0, estimators._position_steps(ws), 600)[5]
     sigmas = estimators._fisher_sigmas(jac)
     b = compute_bounds(sc, FimOptions(sync_mode=SyncMode.NCP, D=sc.D))
@@ -955,18 +955,91 @@ def test_jml_refine_zero_steps_returns_start(est_scene, noisy_obs, monkeypatch):
 def test_lm_refine_returns_start_when_residual_raises():
     calls = []
 
-    def residual(x):
-        calls.append(x.copy())
+    def residual(X):
+        calls.append(X.copy())
         if len(calls) > 2:
             raise np.linalg.LinAlgError("eigenvalues did not converge")
-        return np.array([x[0] - 1.0, 2.0 * x[1]])
+        return np.column_stack([X[:, 0] - 1.0, 2.0 * X[:, 1]])
 
     x0 = np.array([0.5, 0.5])
     x_best, f_best, nit, nfev, f0, jac = estimators._lm_refine(residual, x0, np.ones(2), 50)
     assert np.array_equal(x_best, x0)
     assert f_best == f0 == 1.25
     assert jac is None
+    # the start, the Jacobian there in one call (reusing the start's
+    # residual), then the first step, which raises
+    assert [len(X) for X in calls] == [1, 2, 1]
     assert nfev == len(calls) == 3
+
+
+def test_point_fit_batch_equals_single_calls(est_scene, noisy_obs):
+    # the batched Jacobian of every refine is bit-identical to scipy's
+    # column-by-column one only because each row of a batched fit is the
+    # single-candidate fit, byte for byte
+    ws = estimators._Workspace(noisy_obs)
+    rng = np.random.default_rng(4)
+    B = 7
+    p = est_scene.ue_position + rng.uniform(-0.01, 0.01, (B, 3)) * [1.0, 1.0, 0.0]
+    dt = est_scene.clock_offset + rng.uniform(-1e-10, 1e-10, B)
+    dphi = rng.uniform(-math.pi, math.pi, B)
+    sps = est_scene.scatterers[0].position + rng.uniform(-0.2, 0.2, (B, 1, 3))
+    cases = [
+        dict(free=True), dict(free=True, strict=True), dict(), dict(dphi=dphi),
+        dict(sp_positions=sps, dphi=dphi), dict(sp_positions=sps, free=True),
+        dict(sp_positions=sps[0]),
+    ]
+    for kw in cases:
+        batched = estimators._point_fit(ws, p, dt, **kw)
+        for i in range(B):
+            row = dict(kw)
+            if "dphi" in kw:
+                row["dphi"] = dphi[i]
+            if kw.get("sp_positions") is sps:
+                row["sp_positions"] = sps[i]
+            single = estimators._point_fit(ws, p[i], dt[i], **row)
+            assert batched[0][i].tobytes() == single[0][0].tobytes(), kw
+            assert batched[1][i].tobytes() == single[1][0].tobytes(), kw
+            assert batched[3][i].tobytes() == single[3][0].tobytes(), kw
+            for g, h in zip(batched[2], single[2]):
+                assert g[i].tobytes() == h[0].tobytes(), kw
+
+
+def test_lm_refine_matches_scipy_two_point_jacobian(est_scene, noisy_obs):
+    # the batched Jacobian callable must reproduce scipy's own forward
+    # differences: on a JML residual, the same end point and cost, to the bit
+    ws = estimators._Workspace(noisy_obs)
+    D = ws.D
+    eta = truth_params(est_scene)
+    x0 = dataclasses.replace(eta, position=eta.position + [0.003, -0.002, 0.0],
+                             sp_positions=eta.sp_positions + 0.04).flat(D)
+    steps = np.concatenate([estimators._position_steps(ws), [0.1],
+                            np.full(eta.sp_positions.size, ws.waveform.wavelength / 8.0)])
+
+    def residual(X):  # JML's residual of (p[:D], dtau, dphi, scatterers) rows
+        return estimators._point_fit(ws, *estimators._position_clock(ws, X),
+                                     X[:, D + 2 :].reshape(len(X), -1, 3), X[:, D + 1])[0]
+
+    x_best, f_best, nit, _, f0, jac = estimators._lm_refine(residual, x0, steps, 40)
+    ref = estimators.least_squares(
+        lambda s: residual((x0 + steps * s)[None])[0], np.zeros(len(x0)), jac="2-point",
+        method="lm", ftol=estimators._LM_TOL, xtol=estimators._LM_TOL, gtol=estimators._LM_TOL,
+        x_scale=1.0, max_nfev=40)
+    assert f_best < f0 and nit == ref.nfev > 5
+    assert (x0 + steps * ref.x).tobytes() == x_best.tobytes()
+    assert np.float64(2.0 * ref.cost).tobytes() == np.float64(f_best).tobytes()
+    assert (ref.jac / steps).tobytes() == jac.tobytes()
+
+
+def test_jml_refine_counts_one_call_per_jacobian(est_scene, noisy_obs):
+    eta = truth_params(est_scene)
+    init = EstimateReport("NST", eta.position + np.array([0.004, -0.003, 0.0]),
+                          eta.clock_offset, eta.phase_offset, eta.sp_positions + 0.05,
+                          None, np.inf)
+    start, final, nit, nfev = jml_refine(init, noisy_obs, maxiter=400).cost_trace
+    assert final < start
+    # each solver step calls the model once, each Jacobian once more, and
+    # the start and the Jacobian scipy takes after MINPACK stops once each
+    assert 0 < nfev <= 2 * nit + 2
 
 
 @pytest.mark.parametrize("stage", ["position", "jml", "pipeline"])
