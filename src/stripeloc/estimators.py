@@ -173,6 +173,17 @@ def _cholesky_members(H):
         return np.concatenate([C0, C1]), np.concatenate([ok0, ok1])
 
 
+def _certified_inverse_factors(H):
+    """Inverse Cholesky factors L^-1 of a (B, L, L) Hermitian stack H = L L^H
+    and which members are certified full-rank: factored, with
+    1/||L^-1||_F^2 = 1/tr H^-1 > _RANK_RTOL tr H (see ``_solve_psd``)."""
+    C, ok = _cholesky_members(H)
+    Ci = np.linalg.inv(C)
+    trace = np.real(np.trace(H, axis1=-2, axis2=-1))
+    ok &= np.sum(np.abs(Ci) ** 2, axis=(-2, -1)) * (_RANK_RTOL * trace) < 1.0
+    return Ci, ok
+
+
 def _solve_psd(H, rhs):
     """Minimum-norm solve x = H^+ rhs of batched Hermitian PSD systems, and
     the column v = H^-1 e_0 (``_pinned_costs``).  Returns (x, v, rank).
@@ -187,13 +198,10 @@ def _solve_psd(H, rhs):
     shape = H.shape
     H = H.reshape((-1,) + shape[-2:])
     rhs = rhs.reshape(H.shape[:-1])
-    C, ok = _cholesky_members(H)
-    Ci = np.linalg.inv(C)
+    Ci, ok = _certified_inverse_factors(H)
     Cih = np.swapaxes(Ci.conj(), -1, -2)
     x = (Cih @ (Ci @ rhs[..., None]))[..., 0]
     v = (Cih @ Ci[..., :1])[..., 0]
-    trace = np.real(np.trace(H, axis1=-2, axis2=-1))
-    ok &= np.sum(np.abs(Ci) ** 2, axis=(-2, -1)) * (_RANK_RTOL * trace) < 1.0
     rank = np.full(len(H), shape[-1])
     fallback = ~ok
     if fallback.any():
@@ -556,9 +564,8 @@ def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool =
     LoS gains, derotated by their geometric carrier phases and summed over
     stripes, point along the common phase offset.  Returns (xi_sum, fits).
     With one scatterer per candidate, ``_ncp_cost`` of the fits is the NST
-    dip metric: by the Frisch-Waugh-Lovell identity the residual of the joint
-    free-gain fit equals the null-space residual, the data and the scatterer
-    column both projected off the LoS + reflected span.  Only with ``exact``
+    dip metric (``_dip_costs``, which scores it from one factored LoS +
+    reflected fit per stripe).  Only with ``exact``
     do the fits keep their response factors u and a, all stripes at once,
     so that is meant for a handful of candidates, not a scan chunk.
     """
@@ -817,20 +824,18 @@ def _separated_minima(points, costs, min_sep: float, count: int) -> list:
     return picked
 
 
-def _scan(ws: _Workspace, positions, dtaus, sp_positions=None, coherent: bool = False):
+def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False):
     """``_ncp_fits`` over many candidates in chunks of ``_CHUNK``.
 
     Candidate i is the position ``positions[i]`` with clock offset
-    ``dtaus[i]`` and, when ``sp_positions`` (B, J, 3) is given, the
-    scatterers ``sp_positions[i]``.  Returns per-candidate arrays: the
-    noncoherent cost, the phase offset of the derotated LoS sum, and, only
-    when ``coherent``, the pinned-phase cost at that phase (else None).
+    ``dtaus[i]``.  Returns per-candidate arrays: the noncoherent cost, the
+    phase offset of the derotated LoS sum, and, only when ``coherent``, the
+    pinned-phase cost at that phase (else None).
     """
     ncp, dphi, cp = [], [], []
     for start in range(0, len(positions), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        sps = None if sp_positions is None else sp_positions[chunk]
-        xi_sum, fits = _ncp_fits(ws, positions[chunk], dtaus[chunk], sps)
+        xi_sum, fits = _ncp_fits(ws, positions[chunk], dtaus[chunk])
         ncp.append(_ncp_cost(ws, fits))
         dphi.append(np.angle(xi_sum))
         if coherent:
@@ -1024,6 +1029,68 @@ def _require_null_space(ws: _Workspace) -> None:
             )
 
 
+def _dip_costs(ws: _Workspace, p_hat, delta_tau: float, cands) -> np.ndarray:
+    """NST dip metric of scatterer candidates ``cands`` (B, 3) at the
+    plugged-in UE position ``p_hat`` (3,) and clock offset ``delta_tau``:
+    ``_ncp_cost`` of the joint free-gain fit of LoS + RP + one candidate,
+    scored in chunks of ``_CHUNK``.
+
+    By the Frisch-Waugh-Lovell identity the residual of that joint fit is the
+    null-space residual, the data and the candidate column c both projected
+    off the fixed LoS + RP span C0.  So per stripe and chunk one
+    ``_stripe_model`` call, with p_hat the single position and the
+    candidates its scatterers, gives C0 and every c; the fixed Gram
+    H0 = C0^H C0 is Cholesky-factored and x0 = H0^-1 q0 solved once, and a
+    candidate costs only its cross terms h = C0^H c, its energy ||c||^2, its
+    data cross q_s = c^H y', w = H0^-1 h and the Schur complement
+    s = ||c||^2 - Re{h^H w}.  The stripe's cost is
+    max(||y'||^2 - Re{q0^H x0} - |q_s - w^H q0|^2 / s, 0).
+
+    ``_solve_psd``'s certification of the joint Gram H is evaluated per
+    candidate through tr H^-1 = tr H0^-1 + (1 + ||w||^2) / s.  A candidate
+    that fails it on any stripe, and every candidate when H0 fails to factor
+    or to certify, is scored by ``_ncp_cost(_ncp_fits(...))`` instead.
+    """
+    p = np.asarray(p_hat, float).reshape(1, 3)
+    dtaus = np.array([float(delta_tau)])
+    costs = []
+    for start in range(0, len(cands), _CHUNK):
+        sps = cands[start : start + _CHUNK]
+        cost = np.zeros(len(sps))
+        ok = np.ones(len(sps), bool)
+        for n in range(ws.n_stripes):
+            u, a, _ = _stripe_model(ws, n, p, dtaus, sps)
+            (u0, uc), (a0, ac) = np.split(u[0], [-len(sps)]), np.split(a[0], [-len(sps)])
+            H0, q0 = _gram_cross(u0, a0, ws.zt[n])
+            (Ci,), (certified,) = _certified_inverse_factors(H0[None])
+            if not certified:
+                ok[:] = False
+                break
+            H0i = Ci.conj().T @ Ci
+            # per-candidate products as stacked (B, 1, .) rows, each too small
+            # for BLAS to thread: a flat complex (B, K) @ (K, M) product was
+            # measured at 8 ms against 0.09 ms single-threaded on a loaded
+            # 2-core machine, while the stacked rows never took over 0.6 ms
+            h = ((uc[:, None, :] @ u0.conj().T) * (ac[:, None, :] @ a0.conj().T))[:, 0]
+            qs = np.sum((uc.conj()[:, None, :] @ ws.zt[n])[:, 0] * ac.conj(), axis=-1)
+            cc = np.sum(np.abs(uc) ** 2, axis=-1) * np.sum(np.abs(ac) ** 2, axis=-1)
+            w = (h[:, None, :] @ H0i.T)[:, 0]
+            s = cc - np.real(np.sum(h.conj() * w, axis=-1))
+            g = qs - (w.conj()[:, None, :] @ q0[:, None])[:, 0, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tr = np.sum(np.abs(Ci) ** 2) + (1.0 + np.sum(np.abs(w) ** 2, axis=-1)) / s
+                ok &= (s > 0.0) & (tr * (_RANK_RTOL * (np.real(np.trace(H0)) + cc)) < 1.0)
+                explained = np.real(np.vdot(q0, H0i @ q0)) + np.abs(g) ** 2 / s
+            cost += np.maximum(ws.ynorm2[n] - explained, 0.0)
+        if not ok.all():
+            fail = ~ok
+            m = int(fail.sum())
+            cost[fail] = _ncp_cost(ws, _ncp_fits(ws, np.broadcast_to(p, (m, 3)),
+                                                 np.full(m, dtaus[0]), sps[fail][:, None, :])[1])
+        costs.append(cost)
+    return np.concatenate(costs)
+
+
 def nst_kernels(obs, p_hat, delta_tau_hat: float) -> list:
     """Orthonormal null-space bases of the per-stripe LoS+RP response span.
 
@@ -1054,9 +1121,11 @@ def nst_map_scatterers(
     offset) are projected out of the observation, and a candidate scatterer
     response with a free gain is fitted to what remains, over a 3-D grid;
     the requested number of well-separated dips is returned, each locally
-    refined.  The residual is scored as the joint free-gain fit of LoS + RP +
-    candidate (``_ncp_fits`` -> ``_ncp_cost``), which by the Frisch-Waugh-
-    Lovell identity equals the null-space residual.  The phase offset
+    refined.  The grid is scored by ``_dip_costs``: the fixed LoS + RP fit
+    is factored once per stripe, and each candidate is scored by its Schur
+    complement against it, which by the Frisch-Waugh-Lovell identity gives
+    the null-space residual.  Each dip is refined on the residual of the
+    joint free-gain fit of LoS + RP + candidate (``_point_fit``).  The phase offset
     argument completes the plugged-in estimate set but drops out of the dip
     metric (per-stripe scatterer gains are free complex).
 
@@ -1074,8 +1143,7 @@ def nst_map_scatterers(
 
     axes = _box_axes(ws, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
     cands = _mesh(axes, ws.known_height)
-    dtaus = np.full(len(cands), float(delta_tau_hat))
-    costs = _scan(ws, np.broadcast_to(p_hat, cands.shape), dtaus, cands[:, None, :])[0]
+    costs = _dip_costs(ws, p_hat, delta_tau_hat, cands)
     picked = _separated_minima(cands, costs, _NST_EXCLUSION_STEPS * config.step, J)
     if len(picked) < J:
         raise SearchFailure(

@@ -238,9 +238,12 @@ def _num(node: dict, key: str, parent: str, default: float | None = None) -> flo
 
 
 def _int(node: dict, key: str, parent: str) -> int:
+    """An integer field (not a bool) within the float range, which the
+    model's float arithmetic needs."""
     v = _get(node, key, parent)
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{_path(parent, key)}: expected an integer")
+    _finite(v, _path(parent, key))
     return v
 
 

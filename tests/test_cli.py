@@ -130,8 +130,10 @@ def test_bad_ue_list_entry_exits_1(key, value, message, tmp_path, capsys):
         (lambda cfg: cfg["ue"].update(position_m=[3, -(10**400), 1]), "ue.position_m"),
         (lambda cfg: cfg["ue"].update(phase_offset_rad=[0, 10**400, 0, 0]),
          "ue.phase_offset_rad[1]"),
+        (lambda cfg: cfg["waveform"].update(subcarriers=10**400), "waveform.subcarriers"),
+        (lambda cfg: cfg["stripes"].update(num_antennas=10**400), "stripes.num_antennas"),
     ],
-    ids=["room", "ue-position", "ue-phase"],
+    ids=["room", "ue-position", "ue-phase", "subcarriers", "antennas"],
 )
 def test_loader_refuses_integer_beyond_float_range(edit, field, tmp_path):
     # json reads 10**400 as a Python int, which float() cannot convert
@@ -140,9 +142,13 @@ def test_loader_refuses_integer_beyond_float_range(edit, field, tmp_path):
 
 
 def test_integer_beyond_float_range_exits_1(tmp_path, capsys):
-    path = _canonical_with(tmp_path, lambda cfg: cfg["room"].update(width_m=10**400))
-    assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
-    assert "room.width_m: expected a finite number" in capsys.readouterr().err
+    for section, key in [("room", "width_m"), ("waveform", "subcarriers"),
+                         ("stripes", "num_antennas")]:
+        folder = tmp_path / key
+        folder.mkdir()
+        path = _canonical_with(folder, lambda cfg: cfg[section].update({key: 10**400}))
+        assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
+        assert f"{section}.{key}: expected a finite number" in capsys.readouterr().err
 
 
 def test_optional_numeric_fields_default(tmp_path):

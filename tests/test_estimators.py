@@ -712,7 +712,7 @@ def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
     assert abs(pick[0] - costs.min()) <= 1e-12 * costs.min()
 
 
-def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs):
+def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs, monkeypatch):
     # _scan scores candidates in chunks of _CHUNK; over one and a half
     # chunks its per-point costs and phases equal a single unchunked fit
     ws = estimators._Workspace(noisy_obs)
@@ -725,12 +725,105 @@ def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs):
     np.testing.assert_array_equal(ncp, estimators._ncp_cost(ws, fits))
     np.testing.assert_array_equal(dphi, np.angle(xi_sum))
     np.testing.assert_array_equal(cp, estimators._pinned_costs(ws, fits, dphi))
-    # one scatterer candidate per point, as the NST grid passes them
-    sps = (pts + [0.6, -0.5, 0.8])[:, None, :]
-    ncp_sp, _, none = estimators._scan(ws, pts, dtaus, sps)
-    assert none is None
-    fits_sp = estimators._ncp_fits(ws, pts, dtaus, sps)[1]
-    np.testing.assert_array_equal(ncp_sp, estimators._ncp_cost(ws, fits_sp))
+    # the NST dip metric scores scatterer candidates in the same chunks; over
+    # one and a half chunks its costs equal one unchunked call
+    sps = est_scene.ue_position + rng.uniform(-1.5, 1.5, (n, 3))
+    chunked = estimators._dip_costs(ws, est_scene.ue_position, est_scene.clock_offset, sps)
+    monkeypatch.setattr(estimators, "_CHUNK", n)
+    np.testing.assert_array_equal(
+        chunked, estimators._dip_costs(ws, est_scene.ue_position, est_scene.clock_offset, sps))
+
+
+def _nst_grid(ws):
+    axes = estimators._box_axes(ws, NstConfig().step, estimators._NST_MARGIN, None,
+                                estimators._NST_Z_RANGE)
+    return estimators._mesh(axes, ws.known_height)
+
+
+def _joint_fits(ws, p, dtau, cands):
+    """The joint free-gain fits of LoS + RP + one candidate scatterer per
+    point, unfactored."""
+    return estimators._ncp_fits(ws, np.broadcast_to(p, cands.shape), np.full(len(cands), dtau),
+                                cands[:, None, :])[1]
+
+
+def _joint_dip_costs(ws, p, dtau, cands):
+    return estimators._ncp_cost(ws, _joint_fits(ws, p, dtau, cands))
+
+
+@pytest.mark.parametrize("scene", [estimation_scenario, canonical_scenario],
+                         ids=["estimation", "canonical"])
+def test_dip_costs_equal_joint_fit_on_nst_grid(scene):
+    # the Schur-complement scores of the factored LoS + RP fit equal the
+    # joint free-gain fit's residual at every candidate of the NST grid to
+    # 1e-12 relative.  Both are normal-equation solves, so where a candidate
+    # column lies close to the LoS + RP span each carries rounding of about
+    # eps * kappa, kappa = ||c||^2 / s the candidate's worst Schur ratio over
+    # the stripes (up to about 2e6 on these grids; a QR solve of the dense
+    # columns put the joint fit itself 1.4e-12 off there); beyond 1e-12 the
+    # two may differ by that much, and no more
+    sc = scene()
+    obs = synthesize(sc, rng_seed=(3, 7))
+    ws = estimators._Workspace(obs)
+    p = sc.ue_position + [0.004, -0.003, 0.0]
+    cands = _nst_grid(ws)
+    assert len(cands) > estimators._CHUNK
+    fits = _joint_fits(ws, p, sc.clock_offset, cands)
+    want = estimators._ncp_cost(ws, fits)
+    kappa = np.max([np.real(f.H[:, -1, -1] * np.linalg.inv(f.H)[:, -1, -1]) for f in fits],
+                   axis=0)
+    got = estimators._dip_costs(ws, p, sc.clock_offset, cands)
+    rtol = np.maximum(1e-12, 32.0 * np.finfo(float).eps * kappa)
+    assert np.all(np.abs(got - want) <= rtol * want)
+
+
+def _record_fallbacks(monkeypatch):
+    """Candidates ``_dip_costs`` hands to the unfactored ``_ncp_fits``."""
+    seen = []
+    ncp_fits = estimators._ncp_fits
+
+    def recording(ws, positions, dtaus, sp_positions=None, exact=False):
+        seen.append(np.array(sp_positions[:, 0]))
+        return ncp_fits(ws, positions, dtaus, sp_positions, exact)
+
+    monkeypatch.setattr(estimators, "_ncp_fits", recording)
+    return seen
+
+
+def test_dip_costs_candidate_at_ue_falls_back(est_scene, noisy_obs, monkeypatch):
+    # a scatterer candidate at the plugged-in position has the LoS column as
+    # its own, so its joint Gram is singular; 0.1 um away every stripe's
+    # Schur complement is positive but the joint Gram is not certified.  Those
+    # two candidates alone are scored by the unfactored fit, bit for bit
+    ws = estimators._Workspace(noisy_obs)
+    p, dt = est_scene.ue_position, est_scene.clock_offset
+    cands = np.vstack([_nst_grid(ws)[::97], p, p + [1e-7, 0.0, 0.0]])
+    want = _joint_dip_costs(ws, p, dt, cands[-2:])
+    seen = _record_fallbacks(monkeypatch)
+    got = estimators._dip_costs(ws, p, dt, cands)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], cands[-2:])
+    np.testing.assert_array_equal(got[-2:], want)
+    assert np.all(got[:-2] < got[-2])
+
+
+def test_dip_costs_ue_on_wall_plane_falls_back(monkeypatch):
+    # on the plane of a wall that carries no stripe every stripe's LoS column
+    # equals that wall's reflection, so the fixed Gram H0 is singular and
+    # every candidate is scored by the unfactored fit, bit for bit
+    sc = small_scene(n_stripes=2)
+    assert {s.mounted_wall for s in sc.stripes} == {0, 1}
+    obs = synthesize(sc, rng_seed=14)
+    ws = estimators._Workspace(obs)
+    wall = sc.walls[2]
+    p = sc.ue_position - ((sc.ue_position - wall.point) @ wall.normal) * wall.normal
+    cands = _nst_grid(ws)[::7]
+    want = _joint_dip_costs(ws, p, sc.clock_offset, cands)
+    seen = _record_fallbacks(monkeypatch)
+    got = estimators._dip_costs(ws, p, sc.clock_offset, cands)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], cands)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_rml_refine_scan_and_jml_costs_agree(noisy_obs):
