@@ -195,16 +195,14 @@ def sp_amplitude(scenario, stripe: Stripe, path: PathGeometry) -> float:
     )
 
 
-def path_phase(
-    path: PathGeometry, fc: float, delta_phi_n: float = 0.0, varphi: float = 0.0
-) -> float:
-    """Carrier phase of one path: -2*pi*fc*delay + reflection phase + stripe
-    phase offset, wrapped to (-pi, pi].
+def path_phase(path: PathGeometry, fc: float, delta_phi_n: float = 0.0) -> float:
+    """Carrier phase of one path: -2*pi*fc*delay + stripe phase offset,
+    wrapped to (-pi, pi].
 
-    ``varphi`` must be 0 for the LoS path (any reflection-induced phase is
-    absorbed into the stripe phase offset by convention).
+    No reflection-induced phase is added: every synthesized path carries
+    only its propagation phase and the stripe's offset.
     """
-    return wrap_angle(-2.0 * math.pi * fc * path.delay + varphi + delta_phi_n)
+    return wrap_angle(-2.0 * math.pi * fc * path.delay + delta_phi_n)
 
 
 def dmc_psd(dmc: DmcParams, f: np.ndarray) -> np.ndarray:

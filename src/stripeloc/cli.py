@@ -11,8 +11,9 @@ Subcommands
 * ``heatmap``   position error bound over a horizontal grid
 * ``selftest``  quick invariant checks
 
-Exit codes: 0 success, 1 configuration error (bad flags, bad scenario
-file), 2 numerical failure.
+Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
+1 configuration error (bad flags, including a flag the command does not
+read, or a bad scenario file), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -125,24 +126,10 @@ def cmd_bounds(args):
 
 
 def cmd_simulate(args):
-    if args.out is None:
-        raise ValueError("simulate requires --out")
     sc = resolve_scenario(args.scenario)
     if args.sync:
         sc = dataclasses.replace(sc, sync_mode=SyncMode(args.sync))
-    obs = synthesize(sc, rng_seed=args.seed)
-    if args.fmt == "csv":
-        dump_observations(obs, args.out, fmt="csv")
-        return None
-    payload = [
-        {
-            "stripe": o.stripe_index,
-            "re": np.real(o.Y).tolist(),
-            "im": np.imag(o.Y).tolist(),
-        }
-        for o in obs.observations
-    ]
-    _emit(_json_text(payload), args.out)
+    dump_observations(synthesize(sc, rng_seed=args.seed), args.out, fmt=args.fmt)
     return None
 
 
@@ -156,7 +143,7 @@ def _monte_carlo_from_args(args, default_sdnr: str):
         sdnr,
         trials=args.trials,
         master_seed=args.seed,
-        threads=max(1, args.threads),
+        threads=args.threads,
     )
 
 
@@ -281,44 +268,49 @@ def cmd_selftest(args):
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+# each flag's argparse settings; a subcommand accepts only the flags it reads
+_FLAGS = {
+    "scenario": dict(
+        default="canonical",
+        help="bundled name (canonical, estimation) or path to a scenario file",
+    ),
+    "seed": dict(type=int, default=0, help="master RNG seed"),
+    "trials": dict(type=int, default=1, help="Monte Carlo trials"),
+    "sdnr": dict(default=None, help="dB list, e.g. '0,10,20' or '0:30:lin7'"),
+    "bandwidth": dict(default=None, help="Hz list, e.g. '1e7' or '1e6:1e9:log25'"),
+    "sync": dict(choices=["cp", "ncp"], default=None),
+    "threads": dict(type=int, default=1, help="worker threads"),
+    "out": dict(default=None, help="output path (default: stdout)"),
+    "format": dict(dest="fmt", choices=["csv", "json"], default="csv"),
+}
+
+_MONTE_CARLO_FLAGS = ("scenario", "seed", "trials", "sdnr", "sync", "threads", "out", "format")
+
+# name: (handler, help, flags)
 _COMMANDS = {
-    "bounds": cmd_bounds,
-    "simulate": cmd_simulate,
-    "estimate": cmd_estimate,
-    "sweep": cmd_sweep,
-    "heatmap": cmd_heatmap,
-    "selftest": cmd_selftest,
+    "bounds": (cmd_bounds, "error bounds per sync mode and multipath case",
+               ("scenario", "bandwidth", "sync", "out", "format")),
+    "simulate": (cmd_simulate, "synthesize observations and dump them",
+                 ("scenario", "seed", "sync", "out", "format")),
+    "estimate": (cmd_estimate, "run the estimation pipeline over Monte Carlo trials",
+                 _MONTE_CARLO_FLAGS),
+    "sweep": (cmd_sweep, "RMSE summary across an SDNR list", _MONTE_CARLO_FLAGS),
+    "heatmap": (cmd_heatmap, "position bound over a horizontal grid",
+                ("scenario", "sync", "out", "format")),
+    "selftest": (cmd_selftest, "run quick invariant checks", ("out",)),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="stripeloc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    helps = {
-        "bounds": "error bounds per sync mode and multipath case",
-        "simulate": "synthesize observations and dump them",
-        "estimate": "run the estimation pipeline over Monte Carlo trials",
-        "sweep": "RMSE summary across an SDNR list",
-        "heatmap": "position bound over a horizontal grid",
-        "selftest": "run quick invariant checks",
-    }
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
-        sp.add_argument(
-            "--scenario",
-            default="canonical",
-            help="bundled name (canonical, estimation) or path to a scenario file",
-        )
-        sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
-        sp.add_argument("--trials", type=int, default=1, help="Monte Carlo trials")
-        sp.add_argument("--sdnr", default=None, help="dB list, e.g. '0,10,20' or '0:30:lin7'")
-        sp.add_argument(
-            "--bandwidth", default=None, help="Hz list, e.g. '1e7' or '1e6:1e9:log25'"
-        )
-        sp.add_argument("--sync", choices=["cp", "ncp"], default=None)
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-        sp.add_argument("--threads", type=int, default=1)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            kwargs = _FLAGS[flag]
+            if (name, flag) == ("simulate", "out"):  # it writes files, never stdout
+                kwargs = dict(kwargs, required=True, help="output path")
+            sp.add_argument(f"--{flag}", **kwargs)
     return parser
 
 
@@ -332,7 +324,7 @@ def cli(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        out = _COMMANDS[args.command](args)
+        out = _COMMANDS[args.command][0](args)
     except (SchemaError, SemanticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,11 +55,12 @@ _RANK_RTOL = 1e-10
 # factors and Gram systems, so a chunk bounds the memory; 1024 scores as
 # fast as 2048, with the same bits, at about half the traced peak
 _CHUNK = 1024
+# every search grid keeps this far (m) inside the walls or the given box
+_WALL_MARGIN = 0.3
 # z extent of the 3-D position grid when no box is given
 _Z_RANGE = (0.3, 2.2)
-# scatterer grid: room footprint shrunk by this margin, this z extent, and
-# picked dips at least this many grid steps apart
-_NST_MARGIN = 0.3
+# scatterer grid: this z extent, and picked dips at least this many grid
+# steps apart
 _NST_Z_RANGE = (0.2, 2.6)
 _NST_EXCLUSION_STEPS = 3
 # Levenberg-Marquardt ftol, xtol and gtol of every refine; at 1e-10 JML
@@ -373,8 +374,9 @@ class SearchConfig:
     ``step`` defaults to a quarter wavelength; ``box`` (one (lo, hi) pair
     per searched axis) defaults to the room footprint inferred from
     axis-aligned walls (falling back to the stripe bounding box padded by a
-    meter), shrunk by ``margin``.  In 3-D mode the default grid gains a z
-    axis over 0.3-2.2 m, so an explicit box is advisable there.
+    meter); either is shrunk by 0.3 m per side.  In 3-D mode the default
+    grid gains a z axis over 0.3-2.2 m, so an explicit box is advisable
+    there.
 
     The coherent cost oscillates on the wavelength scale with basins only a
     fraction of a wavelength wide, far narrower than any affordable full-room
@@ -400,7 +402,6 @@ class SearchConfig:
     """
 
     step: Optional[float] = None
-    margin: float = 0.3
     box: Optional[tuple] = None
     refine_maxiter: int = 600
     fine_span_wavelengths: float = 2.0
@@ -451,8 +452,8 @@ def _mesh(axes, height) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _box_axes(ws: _Workspace, step: float, margin: float, box, z_range) -> list:
-    """Per-axis coordinates at ``step`` over ``box`` shrunk by ``margin`` on each side.
+def _box_axes(ws: _Workspace, step: float, box, z_range) -> list:
+    """Per-axis coordinates at ``step`` over ``box`` shrunk by ``_WALL_MARGIN`` per side.
 
     Without a box the room footprint is used, plus an unshrunk z axis over
     ``z_range``; ``z_range=None`` asks for x and y only, the grid sitting at
@@ -463,9 +464,9 @@ def _box_axes(ws: _Workspace, step: float, margin: float, box, z_range) -> list:
         box = _axis_aligned_box(ws)
         if z_range is not None:
             extra = [_grid_1d(z_range[0], z_range[1], step)]
-    axes = [_grid_1d(lo + margin, hi - margin, step) for lo, hi in box] + extra
+    axes = [_grid_1d(lo + _WALL_MARGIN, hi - _WALL_MARGIN, step) for lo, hi in box] + extra
     if not axes or any(ax.size == 0 for ax in axes):
-        raise SearchFailure("empty search grid; widen the box or reduce the margin")
+        raise SearchFailure("empty search grid; widen the box")
     return axes if z_range is not None else axes[:2]
 
 
@@ -493,15 +494,12 @@ def _decimation(ws: _Workspace, axes, step: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _clock_tie(obs, n_fft: Optional[int] = None):
+def _clock_tie(obs):
     """Map from candidate positions (B, 3) to the clock offsets they imply:
     ``coarse_clock_offset`` batched, its delay peaks found once per stripe by
-    a zero-padded IFFT (``n_fft`` defaults to 16 K)."""
+    a 16-times zero-padded IFFT."""
     wf = obs.scenario.waveform
-    if n_fft is None:
-        n_fft = 16 * wf.K
-    if n_fft < wf.K:
-        raise ValueError("n_fft must be at least the subcarrier count")
+    n_fft = 16 * wf.K
     taus = np.empty(len(obs))
     for n in range(len(obs)):
         spect = np.fft.ifft(obs.observations[n].Y.T, n=n_fft, axis=0)
@@ -522,15 +520,15 @@ def _clock_tie(obs, n_fft: Optional[int] = None):
     return tie
 
 
-def coarse_clock_offset(p, obs, n_fft: Optional[int] = None) -> float:
+def coarse_clock_offset(p, obs) -> float:
     """Clock offset from delay-domain peaks minus geometric delays at ``p``.
 
-    Per stripe, the strongest delay bin (power summed over antennas)
-    estimates the line-of-sight pseudo-delay; subtracting the geometric delay
-    to ``p`` and circularly averaging over stripes gives the offset in the
-    unambiguous range [0, 1/delta_f).
+    Per stripe, the strongest bin of a 16-times zero-padded IFFT (power
+    summed over antennas) estimates the line-of-sight pseudo-delay;
+    subtracting the geometric delay to ``p`` and circularly averaging over
+    stripes gives the offset in the unambiguous range [0, 1/delta_f).
     """
-    return float(_clock_tie(obs, n_fft)(np.asarray(p, float).reshape(1, 3))[0])
+    return float(_clock_tie(obs)(np.asarray(p, float).reshape(1, 3))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +865,7 @@ def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
     the same per-axis coordinates.
     """
     step = cfg.step if cfg.step is not None else ws.waveform.wavelength / 4.0
-    axes = _box_axes(ws, step, cfg.margin, cfg.box, _Z_RANGE if ws.D == 3 else None)
+    axes = _box_axes(ws, step, cfg.box, _Z_RANGE if ws.D == 3 else None)
     k = _decimation(ws, axes, step)
     sub = [ax[::k] for ax in axes]
     best = _grid_scan(ws, tie, _mesh(sub, ws.known_height))[0]
@@ -1112,7 +1110,6 @@ def nst_map_scatterers(
     p_hat,
     delta_tau_hat: float,
     delta_phi_hat: float = 0.0,
-    n_scatterers: Optional[int] = None,
     config: Optional[NstConfig] = None,
 ) -> list:
     """Scatterer positions from dips of the null-space residual.
@@ -1120,28 +1117,29 @@ def nst_map_scatterers(
     Per stripe, the LoS+RP responses at the plugged-in (position, clock
     offset) are projected out of the observation, and a candidate scatterer
     response with a free gain is fitted to what remains, over a 3-D grid;
-    the requested number of well-separated dips is returned, each locally
-    refined.  The grid is scored by ``_dip_costs``: the fixed LoS + RP fit
-    is factored once per stripe, and each candidate is scored by its Schur
-    complement against it, which by the Frisch-Waugh-Lovell identity gives
-    the null-space residual.  Each dip is refined on the residual of the
-    joint free-gain fit of LoS + RP + candidate (``_point_fit``).  The phase offset
-    argument completes the plugged-in estimate set but drops out of the dip
-    metric (per-stripe scatterer gains are free complex).
+    as many well-separated dips as the scenario has scatterers (a known
+    count) are returned, each locally refined, or none without a scan.  The
+    grid is scored by ``_dip_costs``: the fixed LoS + RP fit is factored once
+    per stripe, and each candidate is scored by its Schur complement against
+    it, which by the Frisch-Waugh-Lovell identity gives the null-space
+    residual.  Each dip is refined on the residual of the joint free-gain
+    fit of LoS + RP + candidate (``_point_fit``).  The phase offset argument
+    completes the plugged-in estimate set but drops out of the dip metric
+    (per-stripe scatterer gains are free complex).
 
     Raises KernelEmpty when the null space is empty, SearchFailure when the
     grid is empty.
     """
     if config is None:
         config = NstConfig()
-    J = len(obs.scenario.scatterers) if n_scatterers is None else int(n_scatterers)
+    J = len(obs.scenario.scatterers)
     if J == 0:
         return []
     ws = _Workspace(obs)
     _require_null_space(ws)
     p_hat = np.asarray(p_hat, float).reshape(3)
 
-    axes = _box_axes(ws, config.step, _NST_MARGIN, None, _NST_Z_RANGE)
+    axes = _box_axes(ws, config.step, None, _NST_Z_RANGE)
     cands = _mesh(axes, ws.known_height)
     costs = _dip_costs(ws, p_hat, delta_tau_hat, cands)
     picked = _separated_minima(cands, costs, _NST_EXCLUSION_STEPS * config.step, J)

@@ -458,14 +458,14 @@ def bw_thresholds(scenario) -> tuple[float, float]:
     return b_low, b_high
 
 
-def peb_heatmap(scenario, xs, ys, options: FimOptions, z: float | None = None) -> np.ndarray:
-    """PEB evaluated on a horizontal grid of UE positions.
+def peb_heatmap(scenario, xs, ys, options: FimOptions) -> np.ndarray:
+    """PEB evaluated on a horizontal grid of UE positions at the scenario's
+    UE height.
 
     Returns an array of shape (len(ys), len(xs)); degenerate geometry yields
     NaN, singular information yields inf.
     """
-    if z is None:
-        z = float(np.asarray(scenario.ue_position, float)[2])
+    z = float(np.asarray(scenario.ue_position, float)[2])
     out = np.full((len(ys), len(xs)), np.nan)
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):

@@ -274,6 +274,8 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     require_cp_sync(scenario)
     entries: list = []
     failures: list = []
@@ -349,10 +351,6 @@ def multipath_case(scenario, case: str):
     return sc, known
 
 
-def _sync_modes(modes) -> tuple:
-    return tuple(m if isinstance(m, SyncMode) else SyncMode(str(m).lower()) for m in modes)
-
-
 _SWEEP_APPLY = {
     "bandwidth": lambda sc, v: with_bandwidth(sc, float(v)),
     "aperture": lambda sc, v: with_antennas(sc, int(v)),
@@ -364,7 +362,7 @@ def run_bounds_sweep(
     scenario,
     sweep: str,
     values: Sequence[float],
-    sync_modes=(SyncMode.CP, SyncMode.NCP),
+    sync_modes: Sequence[SyncMode] = (SyncMode.CP, SyncMode.NCP),
     cases: Sequence[str] = CASES,
 ) -> list:
     """Bound rows over a sweep axis, per sync mode and multipath case.
@@ -378,7 +376,7 @@ def run_bounds_sweep(
     rows = []
     for value in values:
         tuned = apply(scenario, value)
-        for sync in _sync_modes(sync_modes):
+        for sync in sync_modes:
             for case in cases:
                 carved, known = multipath_case(tuned, case)
                 options = FimOptions(sync_mode=sync, D=carved.D, known_rp_phases=known)
@@ -399,17 +397,18 @@ def run_heatmap(
     nx: int = 41,
     ny: int = 41,
     options: Optional[FimOptions] = None,
-    margin: float = 0.3,
 ) -> list:
-    """PEB over a horizontal grid spanning the room, one row per cell."""
+    """PEB over a horizontal grid spanning the room, 0.3 m inside its walls
+    (or the stripes' extent without walls), at the UE height, one row per
+    cell."""
     if options is None:
         options = FimOptions(sync_mode=scenario.sync_mode, D=scenario.D)
     pts = np.array([w.point for w in scenario.walls])
     if pts.size == 0:
         pts = np.array([s.phase_center for s in scenario.stripes])
-    xs = np.linspace(pts[:, 0].min() + margin, pts[:, 0].max() - margin, nx)
-    ys = np.linspace(pts[:, 1].min() + margin, pts[:, 1].max() - margin, ny)
-    grid = peb_heatmap(scenario, xs, ys, options, z=float(scenario.ue_position[2]))
+    xs = np.linspace(pts[:, 0].min() + 0.3, pts[:, 0].max() - 0.3, nx)
+    ys = np.linspace(pts[:, 1].min() + 0.3, pts[:, 1].max() - 0.3, ny)
+    grid = peb_heatmap(scenario, xs, ys, options)
     rows = []
     for j, y in enumerate(ys):
         for i, x in enumerate(xs):

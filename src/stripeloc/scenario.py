@@ -36,19 +36,28 @@ def rect_room_walls(width: float, depth: float, material_id: str = "default"):
     )
 
 
-def wall_midpoint_stripes(
-    width: float, depth: float, height: float, num_antennas: int, spacing: float
-):
-    """One stripe centered on each wall, boresight pointing into the room."""
+def _stripes_along_walls(width, depth, height, num_antennas, spacing, offsets):
+    """One stripe per wall of ``rect_room_walls``, the i-th ``offsets[i]``
+    from its wall's start corner (walls ordered counter-clockwise),
+    boresight into the room."""
+    u0, u1, u2, u3 = offsets
     specs = [
-        ((width / 2, 0.0, height), 0.0, 0),
-        ((width, depth / 2, height), math.pi / 2, 1),
-        ((width / 2, depth, height), math.pi, 2),
-        ((0.0, depth / 2, height), -math.pi / 2, 3),
+        ((u0, 0.0, height), 0.0, 0),
+        ((width, u1, height), math.pi / 2, 1),
+        ((width - u2, depth, height), math.pi, 2),
+        ((0.0, depth - u3, height), -math.pi / 2, 3),
     ]
     return tuple(
         Stripe(pc, az, num_antennas, spacing, mounted_wall=w) for pc, az, w in specs
     )
+
+
+def wall_midpoint_stripes(
+    width: float, depth: float, height: float, num_antennas: int, spacing: float
+):
+    """One stripe centered on each wall, boresight pointing into the room."""
+    midpoints = (width / 2, depth / 2, width / 2, depth / 2)
+    return _stripes_along_walls(width, depth, height, num_antennas, spacing, midpoints)
 
 
 def pinwheel_stripes(
@@ -61,16 +70,7 @@ def pinwheel_stripes(
 ):
     """One stripe per wall, each the same distance from its wall's start
     corner (walls ordered counter-clockwise), boresight into the room."""
-    u = corner_offset
-    specs = [
-        ((u, 0.0, height), 0.0, 0),
-        ((width, u, height), math.pi / 2, 1),
-        ((width - u, depth, height), math.pi, 2),
-        ((0.0, depth - u, height), -math.pi / 2, 3),
-    ]
-    return tuple(
-        Stripe(pc, az, num_antennas, spacing, mounted_wall=w) for pc, az, w in specs
-    )
+    return _stripes_along_walls(width, depth, height, num_antennas, spacing, (corner_offset,) * 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,12 +238,16 @@ def _num(node: dict, key: str, parent: str, default: float | None = None) -> flo
 
 
 def _int(node: dict, key: str, parent: str) -> int:
-    """An integer field (not a bool) within the float range, which the
-    model's float arithmetic needs."""
+    """A count field: an integer (not a bool) in [1, 4096].  The cap keeps
+    the model in memory: the disturbance covariance holds four dense K x K
+    complex matrices, about 1 GiB at K = 4096."""
     v = _get(node, key, parent)
+    where = _path(parent, key)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{_path(parent, key)}: expected an integer")
-    _finite(v, _path(parent, key))
+        raise SchemaError(f"{where}: expected an integer")
+    _finite(v, where)
+    if not 1 <= v <= 4096:
+        raise SchemaError(f"{where}: expected an integer in [1, 4096]")
     return v
 
 
@@ -324,14 +328,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     if placement == "wall-midpoints":
         stripes = wall_midpoint_stripes(width, depth, height, num_antennas, spacing)
     elif placement == "pinwheel":
-        stripes = pinwheel_stripes(
-            width,
-            depth,
-            height,
-            num_antennas,
-            spacing,
-            _num(st, "corner_offset_m", "stripes"),
-        )
+        offset = _num(st, "corner_offset_m", "stripes")
+        stripes = pinwheel_stripes(width, depth, height, num_antennas, spacing, offset)
     else:
         raise SchemaError(
             f"stripes.placement: expected 'wall-midpoints' or 'pinwheel', got {placement!r}"

@@ -8,6 +8,7 @@ the Kronecker ordering of the response c = (b(tau) * s) kron a(theta).
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -350,6 +351,8 @@ def dump_observations(obs_set: ObservationSet, path: str, fmt: str = "bin") -> N
     Binary format: stripes in index order, each M x K matrix row-major, each
     complex value as little-endian float64 (re, im) pairs, no header.  CSV
     format: long table with columns stripe, antenna, subcarrier, re, im.
+    JSON format: a list of {"stripe", "re", "im"} objects, one per stripe,
+    ``re`` and ``im`` the M x K parts as nested lists.
     """
     if fmt == "bin":
         with open(path, "wb") as fh:
@@ -367,5 +370,12 @@ def dump_observations(obs_set: ObservationSet, path: str, fmt: str = "bin") -> N
                         writer.writerow(
                             [obs.stripe_index, m, k, repr(float(v.real)), repr(float(v.imag))]
                         )
+    elif fmt == "json":
+        payload = [
+            {"stripe": obs.stripe_index, "re": obs.Y.real.tolist(), "im": obs.Y.imag.tolist()}
+            for obs in obs_set.observations
+        ]
+        with open(path, "w") as fh:
+            fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         raise ValueError(f"unknown dump format: {fmt!r}")

@@ -219,7 +219,7 @@ def test_path_phase_full_cycle():
 
 
 def test_path_phase_zero_delay():
-    assert np.isclose(path_phase(make_path(0.0), FC, delta_phi_n=0.3, varphi=0.2), 0.5)
+    assert np.isclose(path_phase(make_path(0.0), FC, delta_phi_n=0.3), 0.3)
 
 
 def test_path_phase_offset_45deg():

@@ -1,15 +1,17 @@
 """Command-line interface tests: flag parsing, output formats, exit codes."""
 
+import argparse
 import json
 import math
 import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stripeloc.cli as cli_mod
-from stripeloc.cli import cli, parse_value_list, resolve_scenario
+from stripeloc.cli import build_parser, cli, parse_value_list, resolve_scenario
 from stripeloc.errors import SchemaError, SearchFailure
 from stripeloc.harness import BOUNDS_COLUMNS, METRICS_COLUMNS
 from stripeloc.scenario import load_scenario
@@ -57,6 +59,67 @@ def test_unknown_command_exits_1_with_usage(capsys):
 def test_unknown_flag_exits_1_with_usage(capsys):
     assert cli(["bounds", "--frequency", "1"]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+# the (command, flag) pairs no command reads, each with a value that flag
+# would take where it is read
+_UNREAD_FLAGS = [
+    ("bounds", "--seed", "1"),
+    ("bounds", "--trials", "2"),
+    ("bounds", "--sdnr", "20"),
+    ("bounds", "--threads", "2"),
+    ("simulate", "--trials", "2"),
+    ("simulate", "--sdnr", "20"),
+    ("simulate", "--bandwidth", "1e7"),
+    ("simulate", "--threads", "2"),
+    ("estimate", "--bandwidth", "1e7"),
+    ("sweep", "--bandwidth", "1e7"),
+    ("heatmap", "--seed", "1"),
+    ("heatmap", "--trials", "2"),
+    ("heatmap", "--sdnr", "20"),
+    ("heatmap", "--bandwidth", "1e7"),
+    ("heatmap", "--threads", "2"),
+    ("selftest", "--scenario", "nonexistent.json"),
+    ("selftest", "--seed", "1"),
+    ("selftest", "--trials", "2"),
+    ("selftest", "--sdnr", "20"),
+    ("selftest", "--bandwidth", "1e7"),
+    ("selftest", "--sync", "cp"),
+    ("selftest", "--format", "json"),
+    ("selftest", "--threads", "2"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _UNREAD_FLAGS)
+def test_flag_the_command_does_not_read_exits_1(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert cli([command, flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and f"unrecognized arguments: {flag} {value}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_estimate_refuses_threads_below_1(threads, capsys):
+    argv = ["estimate", "--scenario", "estimation", "--sdnr", "20", "--threads", threads]
+    assert cli(argv) == 1
+    assert "threads must be >= 1" in capsys.readouterr().err
+
+
+def test_readme_synopsis_lists_each_commands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = readme.split("## Command line", 1)[1].split("```")[1].strip()
+    listed = {}
+    for line in synopsis.splitlines():
+        prog, command = line.split()[:2]
+        assert prog == "stripeloc"
+        listed[command] = set(re.findall(r"--[a-z]+", line))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sp in commands.choices.items()
+    }
+    assert listed == accepted
 
 
 def test_missing_scenario_file_exits_1(capsys):
@@ -149,6 +212,17 @@ def test_integer_beyond_float_range_exits_1(tmp_path, capsys):
         path = _canonical_with(folder, lambda cfg: cfg[section].update({key: 10**400}))
         assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
         assert f"{section}.{key}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("waveform", "subcarriers"), ("stripes", "num_antennas")])
+@pytest.mark.parametrize("value", [0, 4097, 10**7])
+def test_loader_refuses_count_out_of_range(section, key, value, tmp_path, capsys):
+    path = _canonical_with(tmp_path, lambda cfg: cfg[section].update({key: value}))
+    message = f"{section}.{key}: expected an integer in [1, 4096]"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        load_scenario(path)
+    assert cli(["bounds", "--bandwidth", "1e7", "--scenario", path]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_optional_numeric_fields_default(tmp_path):

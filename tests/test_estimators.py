@@ -615,11 +615,6 @@ def test_coarse_clock_offset_half_bin_bound():
         assert err <= bin_w / 2.0 + 1e-15
 
 
-def test_coarse_clock_rejects_short_transform(est_scene, clean_obs):
-    with pytest.raises(ValueError):
-        coarse_clock_offset(est_scene.ue_position, clean_obs, n_fft=4)
-
-
 # ---------------------------------------------------------------------------
 # cost-surface structure
 # ---------------------------------------------------------------------------
@@ -688,7 +683,7 @@ def test_rml_position_search_noise_free_canonical():
 
 
 def test_rml_position_search_empty_grid(est_scene, clean_obs):
-    cfg = SearchConfig(box=((0.0, 0.1), (0.0, 0.1)), margin=0.3)
+    cfg = SearchConfig(box=((0.0, 0.1), (0.0, 0.1)))
     with pytest.raises(SearchFailure):
         rml_position_search(clean_obs, cfg)
 
@@ -697,13 +692,14 @@ def test_rml_position_search_empty_grid(est_scene, clean_obs):
 def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
     # the coarse scan scores a decimated sub-lattice plus a full-resolution
     # polish around its best cell; its pick must be the best point of the
-    # whole lattice, scored here point by point
+    # whole lattice, scored here point by point; the box is shrunk by the
+    # 0.3 m wall margin to about (2.2, 3.9) x (2.0, 3.7)
     obs = synthesize(with_sdnr(est_scene, sdnr_db), rng_seed=(8, 1))
-    cfg = SearchConfig(box=((2.2, 3.9), (2.0, 3.7)), margin=0.0)
+    cfg = SearchConfig(box=((1.9, 4.2), (1.7, 4.0)))
     ws = estimators._Workspace(obs)
     tie = estimators._clock_tie(obs)
     step = est_scene.waveform.wavelength / 4.0
-    axes = estimators._box_axes(ws, step, cfg.margin, cfg.box, None)
+    axes = estimators._box_axes(ws, step, cfg.box, None)
     assert estimators._decimation(ws, axes, step) > 1
     lattice = estimators._mesh(axes, ws.known_height)
     costs = estimators._ncp_cost(ws, estimators._ncp_fits(ws, lattice, tie(lattice))[1])
@@ -735,8 +731,7 @@ def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs, monkeypatch):
 
 
 def _nst_grid(ws):
-    axes = estimators._box_axes(ws, NstConfig().step, estimators._NST_MARGIN, None,
-                                estimators._NST_Z_RANGE)
+    axes = estimators._box_axes(ws, NstConfig().step, None, estimators._NST_Z_RANGE)
     return estimators._mesh(axes, ws.known_height)
 
 
@@ -947,13 +942,13 @@ def test_nst_dip_is_local_minimum_of_null_space_residual(est_scene, noisy_obs):
 
 
 def test_nst_kernel_empty_when_no_null_space():
-    sc = small_scene(n_stripes=1, M=1, K=3)
+    sc = small_scene(n_stripes=1, M=1, K=3, n_sp=1)
     obs = synthesize(sc, rng_seed=5)
     # one antenna, three subcarriers: MK = 3 does not exceed L = 4 paths
     with pytest.raises(KernelEmpty):
         nst_kernels(obs, sc.ue_position, sc.clock_offset)
     with pytest.raises(KernelEmpty):
-        nst_map_scatterers(obs, sc.ue_position, sc.clock_offset, 0.0, n_scatterers=1)
+        nst_map_scatterers(obs, sc.ue_position, sc.clock_offset, 0.0)
 
 
 def test_nst_single_scatterer_noise_free(est_scene, clean_obs):
@@ -968,11 +963,10 @@ def test_nst_single_scatterer_noise_free(est_scene, clean_obs):
     assert err < 0.25  # one grid step
 
 
-def test_nst_zero_scatterers_shortcut(est_scene, clean_obs):
-    assert nst_map_scatterers(
-        clean_obs, est_scene.ue_position, est_scene.clock_offset, 0.0,
-        n_scatterers=0,
-    ) == []
+def test_nst_zero_scatterers_shortcut(est_scene):
+    bare = dataclasses.replace(est_scene, scatterers=())
+    obs = synthesize(bare, rng_seed=0, noise_scale=0.0)
+    assert nst_map_scatterers(obs, bare.ue_position, bare.clock_offset, 0.0) == []
 
 
 # ---------------------------------------------------------------------------

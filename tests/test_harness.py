@@ -271,7 +271,7 @@ def test_run_bounds_sweep_empty_and_unknown():
 
 def test_run_bounds_sweep_aperture_uses_integer_antennas():
     sc = canonical_scenario()
-    rows = run_bounds_sweep(sc, "aperture", [4], sync_modes=("cp",), cases=("LRS",))
+    rows = run_bounds_sweep(sc, "aperture", [4], sync_modes=(SyncMode.CP,), cases=("LRS",))
     assert len(rows) == 1
     assert rows[0]["sweep"] == "aperture" and rows[0]["value"] == 4.0
     assert np.isfinite(rows[0]["peb_m"])
