@@ -127,8 +127,6 @@ def cmd_bounds(args):
 
 def cmd_simulate(args):
     sc = resolve_scenario(args.scenario)
-    if args.sync:
-        sc = dataclasses.replace(sc, sync_mode=SyncMode(args.sync))
     dump_observations(synthesize(sc, rng_seed=args.seed), args.out, fmt=args.fmt)
     return None
 
@@ -291,7 +289,7 @@ _COMMANDS = {
     "bounds": (cmd_bounds, "error bounds per sync mode and multipath case",
                ("scenario", "bandwidth", "sync", "out", "format")),
     "simulate": (cmd_simulate, "synthesize observations and dump them",
-                 ("scenario", "seed", "sync", "out", "format")),
+                 ("scenario", "seed", "out", "format")),
     "estimate": (cmd_estimate, "run the estimation pipeline over Monte Carlo trials",
                  _MONTE_CARLO_FLAGS),
     "sweep": (cmd_sweep, "RMSE summary across an SDNR list", _MONTE_CARLO_FLAGS),

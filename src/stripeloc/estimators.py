@@ -17,7 +17,8 @@ complex amplitude per remaining path.  One small Hermitian solve per stripe,
 the free-gain fit, compresses the likelihood onto the wanted parameters: a
 Cholesky factorization certified full-rank, else a truncated
 eigendecomposition where response columns (nearly) collide.  The
-phase-pinned fit is a closed-form rank-one correction of it.
+phase-pinned fit is a closed-form rank-one correction of it.  Every stage
+ends in a batched Levenberg-Marquardt refine on the exact residual.
 
 The whitened path responses come from the signal layer's batched
 ``whitened_response_parts`` and the reflections from ``geometry.mirror_ue``,
@@ -35,7 +36,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import least_squares
 
 from .errors import (
     KernelEmpty,
@@ -66,8 +66,8 @@ _NST_EXCLUSION_STEPS = 3
 # Levenberg-Marquardt ftol, xtol and gtol of every refine; at 1e-10 JML
 # stopped up to 6.5e-10 relative above a derivative-free search's costs
 _LM_TOL = 1e-12
-# relative forward-difference step of scipy's '2-point' rule for float64
-_FD_STEP = np.finfo(float).eps ** 0.5
+_LM_MU0 = 1e-6  # initial damping relative to the largest diagonal entry of J^T J
+_FD_STEP = np.finfo(float).eps ** 0.5  # relative forward-difference step
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +396,9 @@ class SearchConfig:
     error is mostly bias from the scatterers it leaves out, so the window
     cannot shrink with the noise), or all of them when the covariance is
     unusable (the refine kept its start, or 2 J^T J is singular or not
-    finite).  A refinement of the coherent residual then runs from each of
-    the ``n_starts`` best fine cells at least half a wavelength apart.
-    Every refine takes at most about ``refine_maxiter`` solver steps.
+    finite).  The coherent residual is then refined from the ``n_starts``
+    best fine cells at least half a wavelength apart, as one batch.  Every
+    refine takes at most ``refine_maxiter`` solver steps.
     """
 
     step: Optional[float] = None
@@ -414,7 +414,7 @@ class NstConfig:
 
     ``step`` is the spacing of the 3-D grid over the room footprint (shrunk
     by 0.3 m) and z in 0.2-2.6 m; dips are picked at least three steps apart
-    and each is refined by at most about ``refine_maxiter`` solver steps.
+    and refined, as one batch, by at most ``refine_maxiter`` solver steps.
     """
 
     step: float = 0.25
@@ -724,71 +724,81 @@ def estimate_phase_offset(p, delta_tau: float, obs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lm_refine(residual, x0: np.ndarray, steps: np.ndarray, maxiter: int):
-    """Levenberg-Marquardt on r(x0 + steps * s), for a ``residual`` that maps
-    candidates (B, n) to their residuals (B, R): the forward-difference
-    Jacobians and the trust region both live in the scaled coordinates s
-    (scipy's default Jacobian-norm scaling crept for hundreds of steps on NST
-    dips).  Each Jacobian is one batched residual call over the n difference
-    points, taken by scipy 1.17's own '2-point' rule, so the solver sees the
-    bits it would compute column by column: h = sqrt(eps) sign(s) max(1, |s|)
-    (sign(0) = +1), column j = (r(s + h_j e_j) - r(s)) / ((s_j + h_j) - s_j).
-    r(s) is the last residual call's when that was at s, else one more row
-    of the batch; so is the Jacobian that scipy's ``call_minpack`` takes at
-    the returned point after MINPACK stops (``J = jac(x)``).
-    Returns (x_best, f_best, nit, nfev, f0, jac): f = ||r||^2, nit the
-    solver's steps (its residual evaluations, capped near ``maxiter``), nfev
-    the residual calls, a batched Jacobian counting as one, jac the Jacobian
-    dr/dx at x_best in the coordinates of x.  f0 is read from the solver's
-    first residual call, which is at the start; only without a solver run
-    (``maxiter=0``) is the start evaluated directly.  ``x0`` comes back,
-    with jac None, when no step is allowed, when the residual raises
-    LinAlgError after the start (at the start it propagates), or when the
-    solver ends above f0."""
+def _lm_refine(residual, X0: np.ndarray, steps: np.ndarray, maxiter: int):
+    """Levenberg-Marquardt on r(x0 + steps * s) from B starts ``X0`` (B, n)
+    at once; ``residual`` maps candidates (N, n) to residuals (N, R) row by
+    row, so each problem takes the path it takes alone.  Each step is one
+    residual call at the live problems' trial points, each Jacobian one call
+    at the forward-difference points of the problems just moved.  Damping is
+    mu I in s: mu_0 = _LM_MU0 max diag(J^T J), then Nielsen's gain-ratio
+    update (Madsen, Nielsen & Tingleff 2004, sec. 3.2).  A problem stops
+    after ``maxiter`` steps, or when its relative cost change and the
+    predicted one, every column's cosine with r, or its step relative to s
+    is below _LM_TOL.  Returns (x, f = ||r||^2, steps, residual calls, f0,
+    Jacobians dr/dx at x or None).  ``maxiter=0`` evaluates only the starts.
+    A LinAlgError of the residual propagates at the starts, and later ends
+    the live problems at their last accepted points, without Jacobians."""
+    B, n = X0.shape
     nfev = 0
-    f0 = None
-    last = None  # (s, r) of the last single-point call
 
-    def batch(S):
+    def model(S, rows):
         nonlocal nfev
         nfev += 1
-        return residual(x0 + steps * S)
+        return residual(X0[rows] + steps * S)
 
-    def scaled(s):
-        nonlocal last, f0
-        r = batch(s[None])[0]
-        if f0 is None:
-            f0 = float(r @ r)
-        last = (s.copy(), r)
-        return r
+    def sq(r):  # row by row, as ``jml_cost`` takes a squared norm
+        return np.array([row @ row for row in r])
 
-    def jac(s):
-        n = len(s)
-        h = _FD_STEP * np.where(s >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(s))
-        S = np.tile(s, (n, 1))
-        S[np.arange(n), np.arange(n)] = s + h
-        if last is not None and np.array_equal(last[0], s):
-            R, r = batch(S), last[1]
-        else:
-            R = batch(np.vstack([S, s]))
-            R, r = R[:n], R[n]
-        return ((R - r) / ((s + h) - s)[:, None]).T
+    S = np.zeros((B, n))
+    r = model(S, np.arange(B))
+    f = sq(r)
+    f0 = f.copy()
+    Jt, A, g = np.zeros((B, n, r.shape[1])), np.zeros((B, n, n)), np.zeros((B, n))
+    mu, nu, nit = np.zeros(B), np.full(B, 2.0), np.zeros(B, int)
+    live = np.full(B, maxiter > 0)
+    with_jac = live.copy()
 
-    s0 = np.zeros(len(x0))
-    res = None
-    if maxiter > 0:
-        try:
-            res = least_squares(scaled, s0, jac=jac, method="lm", ftol=_LM_TOL, xtol=_LM_TOL,
-                                gtol=_LM_TOL, x_scale=1.0, max_nfev=maxiter)
-        except np.linalg.LinAlgError:
-            if f0 is None:
-                raise
-    else:
-        scaled(s0)
-    nit = 0 if res is None else int(res.nfev)
-    if res is None or 2.0 * res.cost > f0:
-        return x0, f0, nit, nfev, f0, None
-    return x0 + steps * res.x, 2.0 * float(res.cost), nit, nfev, f0, res.jac / steps
+    def jacobian(idx):  # at S[idx]; ends the problems whose gradient vanishes
+        P = np.repeat(S[idx, None, :], n, axis=1)
+        diag = np.arange(n)
+        P[:, diag, diag] += _FD_STEP * np.maximum(1.0, np.abs(S[idx]))
+        jt = model(P.reshape(-1, n), np.repeat(idx, n)).reshape(len(idx), n, -1) - r[idx, None]
+        Jt[idx] = jt = jt / (P[:, diag, diag] - S[idx])[..., None]
+        A[idx] = jt @ np.swapaxes(jt, 1, 2)
+        g[idx] = (jt @ r[idx, :, None])[..., 0]
+        scale = np.sqrt(np.diagonal(A[idx], axis1=1, axis2=2) * f[idx, None])
+        live[idx] &= np.max(np.abs(g[idx]) / np.where(scale > 0.0, scale, 1.0), axis=1) > _LM_TOL
+
+    try:
+        idx = np.flatnonzero(live)
+        if len(idx):
+            jacobian(idx)
+            mu[idx] = _LM_MU0 * np.diagonal(A[idx], axis1=1, axis2=2).max(axis=1)
+        while live.any():
+            idx = np.flatnonzero(live)
+            h = np.linalg.solve(A[idx] + mu[idx, None, None] * np.eye(n), -g[idx, :, None])[..., 0]
+            f_new = sq(r_new := model(S[idx] + h, idx))
+            nit[idx] += 1
+            pred = np.sum(h * (mu[idx, None] * h - g[idx]), axis=1)
+            rho = (f[idx] - f_new) / pred
+            stop = (nit[idx] >= maxiter) | (
+                (np.abs(f[idx] - f_new) <= _LM_TOL * f[idx]) & (pred <= _LM_TOL * f[idx])
+            ) | (np.linalg.norm(h, axis=1) <= _LM_TOL * (np.linalg.norm(S[idx], axis=1) + _LM_TOL))
+            ok = rho > 0.0
+            acc, rej = idx[ok], idx[~ok]
+            S[acc] += h[ok]
+            r[acc], f[acc] = r_new[ok], f_new[ok]
+            mu[acc] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho[ok] - 1.0) ** 3)
+            mu[rej] *= nu[rej]
+            nu[acc], nu[rej] = 2.0, 2.0 * nu[rej]
+            live[rej] &= ~stop[~ok]
+            if len(acc):
+                jacobian(acc)  # before the accepted problems can stop
+                live[acc] &= ~stop[ok]
+    except np.linalg.LinAlgError:
+        with_jac &= ~live
+    return X0 + steps * S, f, nit, nfev, f0, [J.T / steps if w else None
+                                                for J, w in zip(Jt, with_jac)]
 
 
 def _fisher_sigmas(jac) -> Optional[np.ndarray]:
@@ -910,10 +920,10 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     # noncoherent refine from the coarse cell; its Fisher covariance says how
     # far from it the coherent basin can lie
     steps = _position_steps(ws)
-    x_ncp, ncp_cost, nit, nfev, f0, jac = _lm_refine(
+    x_ncp, (ncp_cost,), (nit,), nfev, (f0,), (jac,) = _lm_refine(
         lambda X: _point_fit(ws, *_position_clock(ws, X), free=True)[0],
-        np.concatenate([p_coarse[:D], [dt_coarse]]), steps, cfg.refine_maxiter)
-    (p_ncp,), (dt_ncp,) = _position_clock(ws, x_ncp[None])
+        np.concatenate([p_coarse[:D], [dt_coarse]])[None], steps, cfg.refine_maxiter)
+    (p_ncp,), (dt_ncp,) = _position_clock(ws, x_ncp)
     _, dphi_ncp, gains_ncp, _ = _point_fit(ws, p_ncp, dt_ncp, free=True, strict=True)
     ncp_report = EstimateReport(
         stage="RML-NCP",
@@ -922,8 +932,8 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
         phase_offset=float(dphi_ncp[0]),
         sp_positions=np.empty((0, 3)),
         amplitudes=tuple(g[0] for g in gains_ncp),
-        cost=ncp_cost,
-        cost_trace=(f0, ncp_cost, nit, nfev),
+        cost=float(ncp_cost),
+        cost_trace=(float(f0), float(ncp_cost), int(nit), nfev),
     )
 
     # fine coherent pass: the coherent basins are narrower than the coarse
@@ -954,14 +964,14 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     # guarding against the true basin being narrowly outscored by a sidelobe
     start_idx = _separated_minima(fine, fine_cp, 0.5 * lam, max(1, cfg.n_starts))
 
-    # coherent stage: local refinement of (p, dtau) from each start, best wins
-    runs = [
-        _lm_refine(lambda X: _point_fit(ws, *_position_clock(ws, X))[0],
-                   np.concatenate([fine[idx][:D], [fine_dtau[idx]]]), steps, cfg.refine_maxiter)
-        for idx in start_idx
-    ]
-    x_best, final_cost, nit, nfev, _, _ = min(runs, key=lambda r: r[1])
-    (p_best,), (dt_best,) = _position_clock(ws, x_best[None])
+    # coherent stage: local refinement of (p, dtau) from every start at once,
+    # best wins
+    x, costs, nits, nfev, _, _ = _lm_refine(
+        lambda X: _point_fit(ws, *_position_clock(ws, X))[0],
+        np.column_stack([fine[start_idx, :D], fine_dtau[start_idx]]), steps, cfg.refine_maxiter)
+    best = int(np.argmin(costs))
+    final_cost, nit = float(costs[best]), int(nits[best])
+    (p_best,), (dt_best,) = _position_clock(ws, x[best : best + 1])
     _, dphi_best, gains_cp, _ = _point_fit(ws, p_best, dt_best)
     rml_report = EstimateReport(
         stage="RML",
@@ -977,23 +987,15 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
 
 
 def rml_position_search(obs, config: Optional[SearchConfig] = None) -> EstimateReport:
-    """Position and clock offset by grid search plus coherent refinement.
-
-    Every grid cell's clock offset is tied to it through the delay-domain
-    peaks.  The coarse grid at the configured step is scored by the
-    noncoherent cost only, on a sub-grid decimated to the cost's narrowest
-    lobe plus the full-resolution cells around its best point, and that
-    point is refined on the noncoherent residual (see ``SearchConfig``).
-    The fine grid, narrowed to 6 standard deviations of the refined
-    point's Fisher covariance but to no less than half a wavelength, is
-    scored coherently, the phase offset re-estimated in closed form per
-    cell.  A Levenberg-Marquardt refinement of (position, clock offset) on
-    the amplitude-eliminated residual follows.  ``cost_trace`` is (best
-    fine-cell cost, final cost, solver steps, model calls) of the best
-    start's refinement: the solver's steps are its residual evaluations, and
-    the model calls count each of those once and each finite-difference
-    Jacobian, one batched call, once more.  The refinement starts from that
-    cell and never ends above its cost.  Raises SemanticError under
+    """Position and clock offset by grid search plus coherent refinement,
+    as ``SearchConfig`` describes: the noncoherent coarse pick and refine,
+    the fine coherent grid around it (the phase offset re-estimated in closed
+    form per cell), then a Levenberg-Marquardt refinement of (position, clock
+    offset) on the amplitude-eliminated residual from its best cells at
+    once.  Every cell's clock offset is tied to it through the delay-domain
+    peaks.  ``cost_trace`` is (best fine-cell cost, final cost, the best
+    start's solver steps, model calls of all starts together); the result
+    never ends above that cell's cost.  Raises SemanticError under
     ``sync_mode=ncp``.
     """
     return _position_stage(obs, config)[1]
@@ -1122,8 +1124,9 @@ def nst_map_scatterers(
     grid is scored by ``_dip_costs``: the fixed LoS + RP fit is factored once
     per stripe, and each candidate is scored by its Schur complement against
     it, which by the Frisch-Waugh-Lovell identity gives the null-space
-    residual.  Each dip is refined on the residual of the joint free-gain
-    fit of LoS + RP + candidate (``_point_fit``).  The phase offset argument
+    residual.  The dips are refined together, each on the residual of the
+    joint free-gain fit of LoS + RP + that candidate (``_point_fit``), by
+    one batched ``_lm_refine``.  The phase offset argument
     completes the plugged-in estimate set but drops out of the dip metric
     (per-stripe scatterer gains are free complex).
 
@@ -1148,14 +1151,11 @@ def nst_map_scatterers(
             f"found only {len(picked)} separated dips for {J} scatterers"
         )
 
-    steps = np.full(3, config.step / 2.0)
-    return [
-        _lm_refine(lambda X: _point_fit(ws, np.broadcast_to(p_hat, X.shape),
+    x = _lm_refine(lambda X: _point_fit(ws, np.broadcast_to(p_hat, X.shape),
                                         np.full(len(X), float(delta_tau_hat)),
                                         X[:, None, :], free=True)[0],
-                   cands[idx].copy(), steps, config.refine_maxiter)[0]
-        for idx in picked
-    ]
+                   cands[picked], np.full(3, config.step / 2.0), config.refine_maxiter)[0]
+    return list(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1167,13 +1167,11 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
     """Joint refinement of all wanted parameters from a pipeline initialization.
 
     Levenberg-Marquardt on the amplitude-eliminated residual over position,
-    clock and phase offsets and scatterer positions, for at most about
-    ``maxiter`` steps; the returned cost never exceeds the initial one.
-    ``cost_trace`` is (initial cost, final cost, solver steps, model calls):
-    the solver's steps are its residual evaluations, and the model calls
-    count each of those once and each finite-difference Jacobian, one batched
-    call over all parameters, once more (``_lm_refine``).  Raises
-    SemanticError under ``sync_mode=ncp``.
+    clock and phase offsets and scatterer positions, for at most ``maxiter``
+    steps; the returned cost never exceeds the initial one.  ``cost_trace``
+    is (initial cost, final cost, solver steps, model calls): each step is
+    one model call and each accepted step's Jacobian one more
+    (``_lm_refine``).  Raises SemanticError under ``sync_mode=ncp``.
     """
     require_cp_sync(obs.scenario)
     ws = _Workspace(obs)
@@ -1182,10 +1180,10 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
     x0 = initial.wanted().flat(D)
     steps = np.concatenate([_position_steps(ws), [0.1],
                             np.full(initial.sp_positions.size, ws.waveform.wavelength / 8.0)])
-    x_best, f_best, nit, nfev, f0, _ = _lm_refine(
+    (x_best,), (f_best,), (nit,), nfev, (f0,), _ = _lm_refine(
         lambda X: _point_fit(ws, *_position_clock(ws, X), X[:, D + 2 :].reshape(len(X), -1, 3),
                              X[:, D + 1])[0],
-        x0, steps, maxiter)
+        x0[None], steps, maxiter)
     eta = WantedParams.from_flat(x_best, D, z_fill)
     gains = _point_fit(ws, eta.position, eta.clock_offset, eta.sp_positions, eta.phase_offset)[2]
     return EstimateReport(
@@ -1195,8 +1193,8 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
         phase_offset=eta.phase_offset,
         sp_positions=eta.sp_positions,
         amplitudes=tuple(g[0] for g in gains),
-        cost=f_best,
-        cost_trace=(f0, f_best, nit, nfev),
+        cost=float(f_best),
+        cost_trace=(float(f0), float(f_best), int(nit), nfev),
     )
 
 

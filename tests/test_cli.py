@@ -72,6 +72,7 @@ _UNREAD_FLAGS = [
     ("simulate", "--sdnr", "20"),
     ("simulate", "--bandwidth", "1e7"),
     ("simulate", "--threads", "2"),
+    ("simulate", "--sync", "ncp"),
     ("estimate", "--bandwidth", "1e7"),
     ("sweep", "--bandwidth", "1e7"),
     ("heatmap", "--seed", "1"),

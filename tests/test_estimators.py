@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -850,9 +854,9 @@ def test_ncp_refine_covariance_equals_ncp_bounds(est_scene):
     obs = synthesize(sc, rng_seed=11, noise_scale=0.0)
     ws = estimators._Workspace(obs)
     x0 = np.concatenate([sc.ue_position[: sc.D], [sc.clock_offset]])
-    jac = estimators._lm_refine(
+    (jac,) = estimators._lm_refine(
         lambda X: estimators._point_fit(ws, *estimators._position_clock(ws, X), free=True)[0],
-        x0, estimators._position_steps(ws), 600)[5]
+        x0[None], estimators._position_steps(ws), 600)[5]
     sigmas = estimators._fisher_sigmas(jac)
     b = compute_bounds(sc, FimOptions(sync_mode=SyncMode.NCP, D=sc.D))
     assert abs(math.sqrt(np.sum(sigmas[: sc.D] ** 2)) - b.peb) <= 1e-5 * b.peb
@@ -1015,11 +1019,7 @@ def test_jml_refine_never_raises_cost(est_scene, noisy_obs):
     assert abs(out.cost_trace[0] - f0) <= 1e-12 * abs(f0)
 
 
-def test_jml_refine_zero_steps_returns_start(est_scene, noisy_obs, monkeypatch):
-    def no_solver(*args, **kwargs):
-        raise AssertionError("maxiter=0 must not start the solver")
-
-    monkeypatch.setattr(estimators, "least_squares", no_solver)
+def test_jml_refine_zero_steps_returns_start(est_scene, noisy_obs):
     eta = truth_params(est_scene)
     init = EstimateReport(
         stage="NST",
@@ -1033,7 +1033,8 @@ def test_jml_refine_zero_steps_returns_start(est_scene, noisy_obs, monkeypatch):
     out = jml_refine(init, noisy_obs, maxiter=0)
     f0 = jml_cost(init.wanted(), noisy_obs)
     assert out.cost_trace[0] == out.cost_trace[1] == out.cost == f0
-    assert out.cost_trace[2] == 0
+    # no solver step, and one model call: the start's
+    assert out.cost_trace[2:] == (0, 1)
     assert np.array_equal(out.ue_position, init.ue_position)
     assert np.array_equal(out.sp_positions, init.sp_positions)
     assert (out.clock_offset, out.phase_offset) == (init.clock_offset, init.phase_offset)
@@ -1048,20 +1049,21 @@ def test_lm_refine_returns_start_when_residual_raises():
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         return np.column_stack([X[:, 0] - 1.0, 2.0 * X[:, 1]])
 
-    x0 = np.array([0.5, 0.5])
-    x_best, f_best, nit, nfev, f0, jac = estimators._lm_refine(residual, x0, np.ones(2), 50)
-    assert np.array_equal(x_best, x0)
-    assert f_best == f0 == 1.25
-    assert jac is None
-    # the start, the Jacobian there in one call (reusing the start's
-    # residual), then the first step, which raises
-    assert [len(X) for X in calls] == [1, 2, 1]
+    X0 = np.array([[0.5, 0.5], [2.0, -1.0]])
+    x, f, nit, nfev, f0, jacs = estimators._lm_refine(residual, X0, np.ones(2), 50)
+    assert np.array_equal(x, X0)
+    assert f.tolist() == f0.tolist() == [1.25, 5.0]
+    assert jacs == [None, None]
+    # the starts, their Jacobians in one call, then the first step, which
+    # raises; that is after the starts, so both problems end at them
+    assert [len(X) for X in calls] == [2, 4, 2]
+    assert nit.tolist() == [0, 0]
     assert nfev == len(calls) == 3
 
 
 def test_point_fit_batch_equals_single_calls(est_scene, noisy_obs):
-    # the batched Jacobian of every refine is bit-identical to scipy's
-    # column-by-column one only because each row of a batched fit is the
+    # a batched refine (its Jacobians, and its stacked problems) follows
+    # each problem's own path only because each row of a batched fit is the
     # single-candidate fit, byte for byte
     ws = estimators._Workspace(noisy_obs)
     rng = np.random.default_rng(4)
@@ -1091,30 +1093,34 @@ def test_point_fit_batch_equals_single_calls(est_scene, noisy_obs):
                 assert g[i].tobytes() == h[0].tobytes(), kw
 
 
-def test_lm_refine_matches_scipy_two_point_jacobian(est_scene, noisy_obs):
-    # the batched Jacobian callable must reproduce scipy's own forward
-    # differences: on a JML residual, the same end point and cost, to the bit
+def test_lm_refine_stack_equals_single_problems(est_scene, noisy_obs):
+    # every problem of a batched refine follows the path it follows alone,
+    # byte for byte: three RML starts and two NST dips
     ws = estimators._Workspace(noisy_obs)
     D = ws.D
-    eta = truth_params(est_scene)
-    x0 = dataclasses.replace(eta, position=eta.position + [0.003, -0.002, 0.0],
-                             sp_positions=eta.sp_positions + 0.04).flat(D)
-    steps = np.concatenate([estimators._position_steps(ws), [0.1],
-                            np.full(eta.sp_positions.size, ws.waveform.wavelength / 8.0)])
+    p, dt = est_scene.ue_position, est_scene.clock_offset
 
-    def residual(X):  # JML's residual of (p[:D], dtau, dphi, scatterers) rows
-        return estimators._point_fit(ws, *estimators._position_clock(ws, X),
-                                     X[:, D + 2 :].reshape(len(X), -1, 3), X[:, D + 1])[0]
+    def rml(X):
+        return estimators._point_fit(ws, *estimators._position_clock(ws, X))[0]
 
-    x_best, f_best, nit, _, f0, jac = estimators._lm_refine(residual, x0, steps, 40)
-    ref = estimators.least_squares(
-        lambda s: residual((x0 + steps * s)[None])[0], np.zeros(len(x0)), jac="2-point",
-        method="lm", ftol=estimators._LM_TOL, xtol=estimators._LM_TOL, gtol=estimators._LM_TOL,
-        x_scale=1.0, max_nfev=40)
-    assert f_best < f0 and nit == ref.nfev > 5
-    assert (x0 + steps * ref.x).tobytes() == x_best.tobytes()
-    assert np.float64(2.0 * ref.cost).tobytes() == np.float64(f_best).tobytes()
-    assert (ref.jac / steps).tobytes() == jac.tobytes()
+    def dip(X):
+        return estimators._point_fit(ws, np.broadcast_to(p, X.shape), np.full(len(X), dt),
+                                     X[:, None, :], free=True)[0]
+
+    rml_starts = np.column_stack([p[:D] + [[0.004, -0.003], [-0.01, 0.006], [0.02, 0.0]],
+                                  dt + np.array([1e-11, -2e-11, 0.0])])
+    dips = est_scene.scatterers[0].position + np.array([[0.1, -0.05, 0.08], [-0.6, 0.4, 0.3]])
+    for residual, X0, steps in [(rml, rml_starts, estimators._position_steps(ws)),
+                                (dip, dips, np.full(3, 0.125))]:
+        x, f, nit, _, f0, jacs = estimators._lm_refine(residual, X0, steps, 200)
+        assert np.all(f < f0) and np.all(nit > 2)
+        for b in range(len(X0)):
+            (x1,), (f1,), (nit1,), _, _, (jac1,) = estimators._lm_refine(
+                residual, X0[b : b + 1], steps, 200)
+            assert x[b].tobytes() == x1.tobytes()
+            assert f[b].tobytes() == f1.tobytes()
+            assert nit[b] == nit1
+            assert jacs[b].tobytes() == jac1.tobytes()
 
 
 def test_jml_refine_counts_one_call_per_jacobian(est_scene, noisy_obs):
@@ -1124,9 +1130,35 @@ def test_jml_refine_counts_one_call_per_jacobian(est_scene, noisy_obs):
                           None, np.inf)
     start, final, nit, nfev = jml_refine(init, noisy_obs, maxiter=400).cost_trace
     assert final < start
-    # each solver step calls the model once, each Jacobian once more, and
-    # the start and the Jacobian scipy takes after MINPACK stops once each
+    # each solver step calls the model once and each accepted step's
+    # Jacobian once more; the start and its Jacobian take one call each
     assert 0 < nfev <= 2 * nit + 2
+
+
+_FRESH_JML = """
+import sys
+import numpy as np
+import stripeloc
+from stripeloc import estimators, scenario, signal
+sc = scenario.with_sdnr(stripeloc.estimation_scenario(), 20.0)
+jml = estimators.run_pipeline(signal.synthesize(sc, rng_seed=(43, 4)))[3]
+fields = (jml.ue_position, jml.sp_positions, jml.clock_offset, jml.phase_offset, jml.cost)
+print(b"".join(np.float64(v).tobytes() if np.isscalar(v) else v.tobytes()
+               for v in fields).hex(), jml.cost_trace)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_pipeline_is_reproducible_in_fresh_processes():
+    # draw (43, 4) ended JML at one of two costs from process to process
+    # while a compiled solver read memory it had not written; the pipeline
+    # must not load scipy.optimize at all
+    src = str(Path(estimators.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = [subprocess.run([sys.executable, "-c", _FRESH_JML], env=env, capture_output=True,
+                           text=True, timeout=300, check=True).stdout for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1] == "False"
 
 
 @pytest.mark.parametrize("stage", ["position", "jml", "pipeline"])
