@@ -291,30 +291,6 @@ class WantedParams:
             self, "sp_positions", np.asarray(self.sp_positions, float).reshape(-1, 3)
         )
 
-    def flat(self, D: int) -> np.ndarray:
-        """Pack into the (D + 2 + 3J)-vector used by the refiners."""
-        return np.concatenate(
-            [
-                self.position[:D],
-                [self.clock_offset, self.phase_offset],
-                self.sp_positions.ravel(),
-            ]
-        )
-
-    @classmethod
-    def from_flat(cls, x, D: int, z_fill: float = 0.0) -> "WantedParams":
-        x = np.asarray(x, float)
-        p = np.empty(3)
-        p[:D] = x[:D]
-        if D == 2:
-            p[2] = z_fill
-        return cls(
-            position=p,
-            clock_offset=float(x[D]),
-            phase_offset=float(x[D + 1]),
-            sp_positions=x[D + 2 :].reshape(-1, 3),
-        )
-
 
 @dataclass(frozen=True)
 class BasisMatrix:
@@ -333,7 +309,9 @@ class BasisMatrix:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One stage's estimate of the wanted parameters plus diagnostics."""
+    """One stage's estimate of the wanted parameters plus diagnostics:
+    ``cost`` is the stage's residual cost at these parameters, ``amplitudes``
+    each stripe's fitted path gains, LoS first (None for NST)."""
 
     stage: str
     ue_position: np.ndarray
@@ -352,14 +330,6 @@ class EstimateReport:
             self, "sp_positions", np.asarray(self.sp_positions, float).reshape(-1, 3)
         )
         object.__setattr__(self, "phase_offset", wrap_angle(float(self.phase_offset)))
-
-    def wanted(self) -> WantedParams:
-        return WantedParams(
-            position=self.ue_position,
-            clock_offset=self.clock_offset,
-            phase_offset=self.phase_offset,
-            sp_positions=self.sp_positions,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -887,15 +857,20 @@ def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
     return best
 
 
-def _position_clock(ws: _Workspace, X):
-    """Positions (B, 3) and clock offsets (B,) of position-stage vectors
-    (p[:D], dtau) stacked as X (B, D + 1); in 2-D mode the positions sit at
-    the known UE height."""
+def _rows(ws: _Workspace, X):
+    """``_point_fit``'s (positions (B, 3), clock offsets (B,), scatterers,
+    phase offsets) of refine rows X: (p[:D], dtau) rows (B, D + 1) leave the
+    scatterers and phase offsets None, (p[:D], dtau, dphi, scatterer
+    coordinates) rows (B, D + 2 + 3J) give them as (B, J, 3) and (B,).  In
+    2-D mode the positions sit at the known UE height."""
+    D = ws.D
     positions = np.empty((len(X), 3))
-    positions[:, : ws.D] = X[:, : ws.D]
-    if ws.D == 2:
+    positions[:, :D] = X[:, :D]
+    if D == 2:
         positions[:, 2] = ws.known_height
-    return positions, X[:, ws.D]
+    if X.shape[1] == D + 1:
+        return positions, X[:, D], None, None
+    return positions, X[:, D], X[:, D + 2 :].reshape(len(X), -1, 3), X[:, D + 1]
 
 
 def _position_steps(ws: _Workspace) -> np.ndarray:
@@ -903,6 +878,27 @@ def _position_steps(ws: _Workspace) -> np.ndarray:
     delay resolution 1/B."""
     return np.concatenate([np.full(ws.D, ws.waveform.wavelength / 8.0),
                            [1.0 / (8.0 * ws.waveform.bandwidth)]])
+
+
+def _refine_report(stage: str, ws: _Workspace, X0, steps, maxiter: int, free: bool = False,
+                   strict: bool = False, start_cost: Optional[float] = None):
+    """Refine rows X0 (B, n) of the ``_rows`` layout on ``_point_fit``'s
+    residual (every path gain free with ``free``) by one batched
+    ``_lm_refine``; the lowest final cost wins and is refit once, rank-checked
+    when ``strict``, for its phase offset and per-stripe gains.  Returns the
+    stage's report, whose ``cost_trace`` is (``start_cost`` or the winner's
+    start cost, final cost, its solver steps, model calls of all rows), and
+    the winner's Jacobian (or None)."""
+    x, f, nit, nfev, f0, jacs = _lm_refine(lambda X: _point_fit(ws, *_rows(ws, X), free=free)[0],
+                                           X0, steps, maxiter)
+    b = int(np.argmin(f))
+    p, dtau, sps, _ = rows = _rows(ws, x[b : b + 1])
+    _, dphi, gains, _ = _point_fit(ws, *rows, free=free, strict=strict)
+    start = float(f0[b]) if start_cost is None else start_cost
+    return EstimateReport(
+        stage, p[0], float(dtau[0]), float(dphi[0]), np.empty((0, 3)) if sps is None else sps[0],
+        tuple(g[0] for g in gains), float(f[b]), (start, float(f[b]), int(nit[b]), nfev),
+    ), jacs[b]
 
 
 def _position_stage(obs, cfg: Optional[SearchConfig]):
@@ -920,21 +916,8 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     # noncoherent refine from the coarse cell; its Fisher covariance says how
     # far from it the coherent basin can lie
     steps = _position_steps(ws)
-    x_ncp, (ncp_cost,), (nit,), nfev, (f0,), (jac,) = _lm_refine(
-        lambda X: _point_fit(ws, *_position_clock(ws, X), free=True)[0],
-        np.concatenate([p_coarse[:D], [dt_coarse]])[None], steps, cfg.refine_maxiter)
-    (p_ncp,), (dt_ncp,) = _position_clock(ws, x_ncp)
-    _, dphi_ncp, gains_ncp, _ = _point_fit(ws, p_ncp, dt_ncp, free=True, strict=True)
-    ncp_report = EstimateReport(
-        stage="RML-NCP",
-        ue_position=p_ncp,
-        clock_offset=float(dt_ncp),
-        phase_offset=float(dphi_ncp[0]),
-        sp_positions=np.empty((0, 3)),
-        amplitudes=tuple(g[0] for g in gains_ncp),
-        cost=float(ncp_cost),
-        cost_trace=(float(f0), float(ncp_cost), int(nit), nfev),
-    )
+    ncp_report, jac = _refine_report("RML-NCP", ws, np.append(p_coarse[:D], dt_coarse)[None],
+                                     steps, cfg.refine_maxiter, free=True, strict=True)
 
     # fine coherent pass: the coherent basins are narrower than the coarse
     # step, so resolve them before refining.  The lattice around the coarse
@@ -955,7 +938,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     sigmas = _fisher_sigmas(jac)
     if sigmas is not None:
         half = np.maximum(6.0 * sigmas[:D], 0.5 * lam)
-        near = [np.abs(ax - c) <= h for ax, c, h in zip(axes, p_ncp, half)]
+        near = [np.abs(ax - c) <= h for ax, c, h in zip(axes, ncp_report.ue_position, half)]
         axes = [ax[m] if m.any() else ax for ax, m in zip(axes, near)]
     fine = _mesh(axes, p_coarse[2])
     _, fine_dtau, fine_cp = _grid_scan(ws, tie, fine, coherent=True)
@@ -966,23 +949,9 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
 
     # coherent stage: local refinement of (p, dtau) from every start at once,
     # best wins
-    x, costs, nits, nfev, _, _ = _lm_refine(
-        lambda X: _point_fit(ws, *_position_clock(ws, X))[0],
-        np.column_stack([fine[start_idx, :D], fine_dtau[start_idx]]), steps, cfg.refine_maxiter)
-    best = int(np.argmin(costs))
-    final_cost, nit = float(costs[best]), int(nits[best])
-    (p_best,), (dt_best,) = _position_clock(ws, x[best : best + 1])
-    _, dphi_best, gains_cp, _ = _point_fit(ws, p_best, dt_best)
-    rml_report = EstimateReport(
-        stage="RML",
-        ue_position=p_best,
-        clock_offset=float(dt_best),
-        phase_offset=float(dphi_best[0]),
-        sp_positions=np.empty((0, 3)),
-        amplitudes=tuple(g[0, 0] for g in gains_cp),
-        cost=final_cost,
-        cost_trace=(float(fine_cp[start_idx[0]]), final_cost, nit, nfev),
-    )
+    rml_report, _ = _refine_report(
+        "RML", ws, np.column_stack([fine[start_idx, :D], fine_dtau[start_idx]]), steps,
+        cfg.refine_maxiter, start_cost=float(fine_cp[start_idx[0]]))
     return ncp_report, rml_report
 
 
@@ -1175,27 +1144,11 @@ def jml_refine(initial: EstimateReport, obs, maxiter: int = 2000) -> EstimateRep
     """
     require_cp_sync(obs.scenario)
     ws = _Workspace(obs)
-    D = ws.D
-    z_fill = ws.known_height if D == 2 else 0.0
-    x0 = initial.wanted().flat(D)
+    x0 = np.concatenate([initial.ue_position[: ws.D], [initial.clock_offset, initial.phase_offset],
+                         initial.sp_positions.ravel()])
     steps = np.concatenate([_position_steps(ws), [0.1],
                             np.full(initial.sp_positions.size, ws.waveform.wavelength / 8.0)])
-    (x_best,), (f_best,), (nit,), nfev, (f0,), _ = _lm_refine(
-        lambda X: _point_fit(ws, *_position_clock(ws, X), X[:, D + 2 :].reshape(len(X), -1, 3),
-                             X[:, D + 1])[0],
-        x0[None], steps, maxiter)
-    eta = WantedParams.from_flat(x_best, D, z_fill)
-    gains = _point_fit(ws, eta.position, eta.clock_offset, eta.sp_positions, eta.phase_offset)[2]
-    return EstimateReport(
-        stage="JML",
-        ue_position=eta.position,
-        clock_offset=eta.clock_offset,
-        phase_offset=eta.phase_offset,
-        sp_positions=eta.sp_positions,
-        amplitudes=tuple(g[0] for g in gains),
-        cost=float(f_best),
-        cost_trace=(float(f0), float(f_best), int(nit), nfev),
-    )
+    return _refine_report("JML", ws, x0[None], steps, maxiter)[0]
 
 
 def run_pipeline(
@@ -1223,4 +1176,6 @@ def run_pipeline(
     nst_report = dataclasses.replace(rml_report, stage="NST", amplitudes=None, cost_trace=(),
                                      sp_positions=np.array(sps).reshape(-1, 3))
     jml_report = jml_refine(nst_report, obs, maxiter=jml_maxiter)
+    # JML's start is the NST estimate, so its start cost is NST's own cost
+    nst_report = dataclasses.replace(nst_report, cost=jml_report.cost_trace[0])
     return ncp_report, rml_report, nst_report, jml_report

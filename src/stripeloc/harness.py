@@ -28,7 +28,7 @@ from .errors import StripelocError
 from .estimators import NstConfig, SearchConfig, require_cp_sync, run_pipeline
 from .fim import BoundsReport, FimOptions, SyncMode, compute_bounds, peb_heatmap
 from .geometry import SPEED_OF_LIGHT, wrap_angle
-from .scenario import Scenario, with_antennas, with_bandwidth, with_sdnr
+from .scenario import with_antennas, with_bandwidth, with_sdnr
 from .signal import synthesize
 
 METRICS = ("position", "clock", "phase", "sp")

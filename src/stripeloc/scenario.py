@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np

@@ -223,24 +223,12 @@ def make_disturbances(scenario) -> list[DisturbanceCov]:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """Generative parameter record attached to synthesized observations."""
-
-    ue_position: np.ndarray
-    clock_offset: float
-    phase_offsets: np.ndarray
-    sp_positions: np.ndarray  # J x 3
-    gains: tuple  # per-stripe complex path gains, enumerate_paths order
-
-
-@dataclass(frozen=True)
 class Observation:
     """One stripe's M x K spatial-frequency observation."""
 
     stripe_index: int
     Y: np.ndarray
     rng_seed: tuple
-    ground_truth: GroundTruth
 
 
 class ObservationSet:
@@ -281,14 +269,6 @@ def synthesize(scenario, rng_seed, noise_scale: float = 1.0) -> ObservationSet:
     """
     disturbances = make_disturbances(scenario)
     paths_all = [enumerate_paths(scenario, n) for n in range(len(scenario.stripes))]
-    gains_all = tuple(path_gains(scenario, n, paths) for n, paths in enumerate(paths_all))
-    truth = GroundTruth(
-        ue_position=np.asarray(scenario.ue_position, float).copy(),
-        clock_offset=float(scenario.clock_offset),
-        phase_offsets=np.asarray(scenario.phase_offsets, float).copy(),
-        sp_positions=np.array([sc.position for sc in scenario.scatterers]).reshape(-1, 3),
-        gains=gains_all,
-    )
     observations = []
     for n, stripe in enumerate(scenario.stripes):
         key = _seed_key(rng_seed, n)
@@ -300,7 +280,7 @@ def synthesize(scenario, rng_seed, noise_scale: float = 1.0) -> ObservationSet:
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             )
             Y = Y + noise_scale * disturbances[n].color_noise(Z)
-        observations.append(Observation(n, Y, key, truth))
+        observations.append(Observation(n, Y, key))
     return ObservationSet(scenario, observations, disturbances)
 
 

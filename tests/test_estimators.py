@@ -174,21 +174,23 @@ def noisy_obs(est_scene):
 # ---------------------------------------------------------------------------
 
 
-def test_wanted_params_flat_roundtrip():
-    eta = WantedParams(
-        position=[3.1, 2.2, 1.3],
-        clock_offset=1.7e-8,
-        phase_offset=0.9,
-        sp_positions=[[2.0, 3.0, 1.0], [4.0, 1.0, 0.5]],
-    )
-    for D in (2, 3):
-        x = eta.flat(D)
-        assert x.shape == (D + 2 + 6,)
-        back = WantedParams.from_flat(x, D, z_fill=1.3)
-        assert np.allclose(back.position, eta.position)
-        assert back.clock_offset == eta.clock_offset
-        assert back.phase_offset == eta.phase_offset
-        assert np.allclose(back.sp_positions, eta.sp_positions)
+def test_rows_layout():
+    # a refine row is (p[:D], dtau) or (p[:D], dtau, dphi, scatterer
+    # coordinates); in 2-D mode the position sits at the known UE height
+    sps = np.array([[2.0, 3.0, 1.0], [4.0, 1.0, 0.5]])
+    for D, p in [(2, [3.1, 2.2, 1.3]), (3, [3.1, 2.2, 0.7])]:
+        ws = SimpleNamespace(D=D, known_height=1.3 if D == 2 else None)
+        short = np.array([p[:D] + [1.7e-8], p[:D] + [2.5e-8]])
+        positions, clocks, scatterers, phases = estimators._rows(ws, short)
+        assert positions.tolist() == [p, p] and clocks.tolist() == [1.7e-8, 2.5e-8]
+        assert scatterers is None and phases is None
+        for J in (2, 0):
+            full = np.column_stack([short, [0.9, -0.4], np.tile(sps[:J].ravel(), (2, 1))])
+            positions, clocks, scatterers, phases = estimators._rows(ws, full)
+            assert positions.tolist() == [p, p] and clocks.tolist() == [1.7e-8, 2.5e-8]
+            assert phases.tolist() == [0.9, -0.4]
+            assert scatterers.shape == (2, J, 3)
+            assert scatterers.tolist() == [sps[:J].tolist()] * 2
 
 
 def test_estimate_report_wraps_phase():
@@ -350,22 +352,18 @@ def _eliminated_residual(eta, obs) -> np.ndarray:
 def test_eliminated_residual_information_equals_efim(est_scene, case):
     # at noise-free truth, 2 J^T J of the amplitude-eliminated residual is the
     # Schur complement of the Fisher information over the path amplitudes and
-    # phases: the estimator's batched model and the scalar model behind the
-    # bounds must give the same equivalent FIM, in WantedParams.flat order
+    # phases: the residual JML refines and the scalar model behind the bounds
+    # must give the same equivalent FIM, in refine-row order
     sc, _ = multipath_case(est_scene, case)
     obs = synthesize(sc, rng_seed=11, noise_scale=0.0)
-    x0 = truth_params(sc).flat(sc.D)
+    ws = estimators._Workspace(obs)
+    eta = truth_params(sc)
+    x0 = np.concatenate([eta.position[: sc.D], [eta.clock_offset, eta.phase_offset],
+                         eta.sp_positions.ravel()])
     h = np.concatenate([np.full(sc.D, 1e-6), [1e-13, 1e-5], np.full(3 * len(sc.scatterers), 1e-6)])
-    cols = []
-    for i in range(len(x0)):
-        e = np.zeros(len(x0))
-        e[i] = h[i]
-        r_plus, r_minus = (
-            _eliminated_residual(WantedParams.from_flat(x, sc.D, sc.ue_position[2]), obs)
-            for x in (x0 + e, x0 - e)
-        )
-        cols.append((r_plus - r_minus) / (2.0 * h[i]))
-    jac = np.column_stack(cols)
+    r_plus, r_minus = (estimators._point_fit(ws, *estimators._rows(ws, x0 + sign * np.diag(h)))[0]
+                       for sign in (1.0, -1.0))
+    jac = ((r_plus - r_minus) / (2.0 * h[:, None])).T
     info = 2.0 * jac.T @ jac
     E = efim(*global_fim(sc, FimOptions(sync_mode=SyncMode.CP, D=sc.D)))
     d = np.sqrt(np.diag(E))
@@ -855,7 +853,7 @@ def test_ncp_refine_covariance_equals_ncp_bounds(est_scene):
     ws = estimators._Workspace(obs)
     x0 = np.concatenate([sc.ue_position[: sc.D], [sc.clock_offset]])
     (jac,) = estimators._lm_refine(
-        lambda X: estimators._point_fit(ws, *estimators._position_clock(ws, X), free=True)[0],
+        lambda X: estimators._point_fit(ws, *estimators._rows(ws, X), free=True)[0],
         x0[None], estimators._position_steps(ws), 600)[5]
     sigmas = estimators._fisher_sigmas(jac)
     b = compute_bounds(sc, FimOptions(sync_mode=SyncMode.NCP, D=sc.D))
@@ -1011,7 +1009,8 @@ def test_jml_refine_never_raises_cost(est_scene, noisy_obs):
         amplitudes=None,
         cost=np.inf,
     )
-    f0 = jml_cost(init.wanted(), noisy_obs)
+    f0 = jml_cost(WantedParams(init.ue_position, init.clock_offset, init.phase_offset,
+                               init.sp_positions), noisy_obs)
     out = jml_refine(init, noisy_obs, maxiter=400)
     assert out.cost <= f0 + 1e-12 * (1.0 + f0)
     assert out.cost_trace[0] >= out.cost_trace[1]
@@ -1031,7 +1030,8 @@ def test_jml_refine_zero_steps_returns_start(est_scene, noisy_obs):
         cost=np.inf,
     )
     out = jml_refine(init, noisy_obs, maxiter=0)
-    f0 = jml_cost(init.wanted(), noisy_obs)
+    f0 = jml_cost(WantedParams(init.ue_position, init.clock_offset, init.phase_offset,
+                               init.sp_positions), noisy_obs)
     assert out.cost_trace[0] == out.cost_trace[1] == out.cost == f0
     # no solver step, and one model call: the start's
     assert out.cost_trace[2:] == (0, 1)
@@ -1101,7 +1101,7 @@ def test_lm_refine_stack_equals_single_problems(est_scene, noisy_obs):
     p, dt = est_scene.ue_position, est_scene.clock_offset
 
     def rml(X):
-        return estimators._point_fit(ws, *estimators._position_clock(ws, X))[0]
+        return estimators._point_fit(ws, *estimators._rows(ws, X))[0]
 
     def dip(X):
         return estimators._point_fit(ws, np.broadcast_to(p, X.shape), np.full(len(X), dt),
@@ -1204,3 +1204,34 @@ def test_run_pipeline_deterministic(est_scene):
         assert a.clock_offset == b.clock_offset
         assert a.phase_offset == b.phase_offset
         assert a.cost == b.cost
+
+
+@pytest.fixture(scope="module")
+def pipeline_runs(est_scene):
+    return [(obs, run_pipeline(obs)) for obs in
+            (synthesize(est_scene, rng_seed=(1, draw)) for draw in range(3))]
+
+
+def test_report_costs_are_costs_at_their_parameters(pipeline_runs):
+    # a report's cost is its stage's model cost at the reported parameters;
+    # NST's is JML's start cost, the cost at the NST estimate
+    for obs, (ncp, rml, nst, jml) in pipeline_runs:
+        at = lambda r: jml_cost(WantedParams(r.ue_position, r.clock_offset, r.phase_offset,
+                                             r.sp_positions), obs)
+        assert nst.cost == at(nst)
+        ncp_cost = rml_ncp_amplitudes_and_cost(ncp.ue_position, ncp.clock_offset, obs)[1]
+        for report, cost in [(ncp, ncp_cost), (rml, at(rml)), (jml, at(jml))]:
+            assert abs(report.cost - cost) <= 1e-12 * cost, report.stage
+
+
+def test_refined_stages_report_one_gain_vector_per_stripe(est_scene, pipeline_runs):
+    # RML-NCP, RML and JML report each stripe's path gains, LoS first; the
+    # position stages model no scatterers, and NST fits no gains
+    for _, (ncp, rml, nst, jml) in pipeline_runs:
+        assert nst.amplitudes is None
+        for report in (ncp, rml, jml):
+            assert len(report.amplitudes) == len(est_scene.stripes)
+            for n, gains in enumerate(report.amplitudes):
+                paths = [q for q in enumerate_paths(est_scene, n)
+                         if report is jml or q.kind is not PathKind.SP]
+                assert gains.shape == (len(paths),), report.stage
