@@ -16,14 +16,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0, mu_0
 from scipy.linalg import toeplitz
 
 from .errors import DegenerateGeometry, NumericalFailure
 from .geometry import PathGeometry, PathKind, SPEED_OF_LIGHT, Stripe, wrap_angle
 
+# Vacuum permittivity (F/m) and permeability (H/m), CODATA 2022: the values
+# scipy.constants gives, written out so that importing the package does not
+# load that module
+EPSILON_0 = 8.8541878188e-12
+MU_0 = 1.25663706127e-06
 # Intrinsic impedance of free space, ~376.73 ohm.
-Z0 = math.sqrt(mu_0 / epsilon_0)
+Z0 = math.sqrt(MU_0 / EPSILON_0)
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,8 @@ def fresnel_coefficients(
         perpendicular to the plane of incidence.
     """
     omega = 2.0 * math.pi * fc
-    eps1 = material.eps_r * epsilon_0
-    mu1 = material.mu_r * mu_0
+    eps1 = material.eps_r * EPSILON_0
+    mu1 = material.mu_r * MU_0
     z1 = np.sqrt(1j * omega * mu1 / (material.sigma + 1j * omega * eps1))
     # Snell's law with a real refraction angle (eps_r*mu_r >= 1).
     sin_t = math.sin(angle_incidence) / math.sqrt(material.eps_r * material.mu_r)

@@ -30,6 +30,7 @@ axis-wise norms round differently from the scalar ``geometry`` functions).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -51,8 +52,8 @@ from .signal import kron_rows, whitened_response_parts
 _TWO_PI = 2.0 * math.pi
 # singular values below this fraction of the largest are treated as zero
 _RANK_RTOL = 1e-10
-# candidates per batched fit in every scan: each candidate carries its own
-# factors and Gram systems, so a chunk bounds the memory; 1024 scores as
+# (candidate, stripe) rows per batched fit in every scan: each row carries its
+# own factors and Gram system, so a chunk bounds the memory; 1024 scores as
 # fast as 2048, with the same bits, at about half the traced peak
 _CHUNK = 1024
 # every search grid keeps this far (m) inside the walls or the given box
@@ -86,6 +87,25 @@ def require_cp_sync(scenario) -> None:
         )
 
 
+class _Group:
+    """Consecutive stripes with one antenna count, spacing, reflecting-wall
+    count and disturbance, stacked on a leading axis of S so that one model
+    call fits them all."""
+
+    def __init__(self, obs, index):
+        stripes = [obs.scenario.stripes[n] for n in index]
+        self.index, self.stripe = np.array(index), stripes[0]
+        self.disturbance = obs.disturbances[index[0]]
+        # phase centres (S, 1, 1, 3), rotations (S, 1, 3, 3), reflecting walls (S, W)
+        self.centers = np.array([st.phase_center for st in stripes])[:, None, None, :]
+        self.rots = np.array([rot_z(st.azimuth) for st in stripes])[:, None]
+        self.walls = np.array([reflecting_walls(obs.scenario.walls, st) for st in stripes], int)
+        # whitened M x K observations, stacked, then viewed as K x M (S, 1, K, M):
+        # each matrix has the memory layout of ``obs.whitened(n).T``
+        self.zt = np.stack([obs.whitened(n) for n in index]).swapaxes(-1, -2)[:, None]
+        self.ynorm2 = np.array([[float(np.sum(np.abs(z) ** 2))] for z in self.zt[:, 0]])
+
+
 class _Workspace:
     """What the network knows, plus the whitened observations of one call.
 
@@ -93,7 +113,8 @@ class _Workspace:
     the dimension D and, in 2-D mode only, the UE height (known by
     assumption).  Every ground-truth field of the scenario is deliberately
     left out, so code written against this view cannot leak the answer into
-    an estimator.
+    an estimator.  The stripes are stacked in ``_Group``s, one for every
+    loader-built scene.
     """
 
     def __init__(self, obs):
@@ -101,16 +122,20 @@ class _Workspace:
         self.waveform = scenario.waveform
         self.stripes = tuple(scenario.stripes)
         self.walls = tuple(scenario.walls)
-        self.disturbances = list(obs.disturbances)
         self.D = int(scenario.D)
         self.known_height = float(scenario.ue_position[2]) if self.D == 2 else None
-        # whitened observations, transposed to K x M for the batched products
-        self.zt = [obs.whitened(n).T for n in range(len(obs))]
-        self.ynorm2 = [float(np.sum(np.abs(z) ** 2)) for z in self.zt]
+        kinds = [(st.num_antennas, st.spacing, len(reflecting_walls(self.walls, st)), d)
+                 for st, d in zip(self.stripes, obs.disturbances)]
+        self.groups = [_Group(obs, list(run))
+                       for _, run in itertools.groupby(range(len(kinds)), kinds.__getitem__)]
+        # (group number, row in it) of every stripe, in stripe order
+        self.slots = [(i, s) for i, g in enumerate(self.groups) for s in range(len(g.index))]
 
-    @property
-    def n_stripes(self) -> int:
-        return len(self.zt)
+
+def _stripe_sum(parts) -> np.ndarray:
+    """Sum over stripes of per-group (S, ...) terms, with the bits of adding
+    them to zeros in stripe order (a reduction would pair them up)."""
+    return np.cumsum(np.concatenate([np.zeros_like(parts[0][:1])] + parts), axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -118,32 +143,34 @@ class _Workspace:
 # ---------------------------------------------------------------------------
 
 
-def _aoa_batch(targets: np.ndarray, stripe) -> np.ndarray:
-    """Angles of arrival of (..., 3) targets in the stripe's local frame
-    (``geometry.aoa`` batched, with numpy's arctan2)."""
-    local = (targets - stripe.phase_center) @ rot_z(stripe.azimuth)
-    return wrap_angle(0.5 * np.pi - np.arctan2(local[..., 1], local[..., 0]))
+def _mirror_images(ws: _Workspace, positions: np.ndarray) -> np.ndarray:
+    """Mirror images (B, W, 3) of UE ``positions`` (B, 3) in every wall."""
+    images = [mirror_ue(positions, wall) for wall in ws.walls]
+    return np.stack(images, axis=1) if images else np.empty((len(positions), 0, 3))
 
 
-def _path_geometry(ws: _Workspace, n: int, positions: np.ndarray, sp_positions=None):
-    """Angles of arrival and geometric delays (..., L) of every path to
-    stripe ``n`` from UE ``positions`` (..., 3), through one (..., L, 3)
-    stack of arrival points in path order: the UE (LoS), its mirror image in
-    each wall but the stripe's own (seen from the stripe along the reflected
-    ray), then the scatterers ``sp_positions`` (J, 3) or (..., J, 3), whose
-    delays add the UE leg."""
-    stripe = ws.stripes[n]
-    points = [positions] + [mirror_ue(positions, ws.walls[w])
-                            for w in reflecting_walls(ws.walls, stripe)]
-    n_geo = len(points)
-    points = np.stack(points, axis=-2)
-    if sp_positions is not None:
-        sps = np.broadcast_to(sp_positions, positions.shape[:-1] + np.shape(sp_positions)[-2:])
-        points = np.concatenate([points, sps], axis=-2)
-    dists = np.linalg.norm(points - stripe.phase_center, axis=-1)
-    if sp_positions is not None:
-        dists[..., n_geo:] += np.linalg.norm(sps - positions[..., None, :], axis=-1)
-    return _aoa_batch(points, stripe), dists / SPEED_OF_LIGHT
+def _path_geometry(g: _Group, positions: np.ndarray, images, sp_positions=None):
+    """Angles of arrival and geometric delays (S, B, L) of every path to the
+    group's stripes from UE ``positions`` (B, 3), through one (S, B, L, 3)
+    stack of arrival points in path order: the UE (LoS), its ``images``
+    (``_mirror_images``) in each wall but the stripe's own (seen from the
+    stripe along the reflected ray), then the scatterers ``sp_positions``
+    (J, 3) or (B, J, 3), whose delays add the UE leg.  The angles are
+    ``geometry.aoa`` batched, with numpy's arctan2."""
+    W = g.walls.shape[1]
+    J = 0 if sp_positions is None else np.shape(sp_positions)[-2]
+    rel = np.empty((len(g.index), len(positions), 1 + W + J, 3))
+    rel[:, :, 0] = positions
+    rel[:, :, 1 : 1 + W] = images[:, g.walls].swapaxes(0, 1)
+    if J:
+        rel[:, :, 1 + W :] = sp_positions
+    rel -= g.centers
+    dists = np.linalg.norm(rel, axis=-1)
+    if J:
+        dists[..., 1 + W :] += np.linalg.norm(sp_positions - positions[:, None, :], axis=-1)
+    local = rel @ g.rots
+    thetas = wrap_angle(0.5 * np.pi - np.arctan2(local[..., 1], local[..., 0]))
+    return thetas, dists / SPEED_OF_LIGHT
 
 
 def _gram_cross(u, a, zt):
@@ -231,21 +258,24 @@ def _eigh_solve(H, rhs):
     return x, v, keep.sum(axis=-1)
 
 
-def _stripe_model(ws: _Workspace, n: int, positions, dtaus, sp_positions=None):
-    """Stripe ``n``'s response model at batched candidates.
+def _stripe_model(ws: _Workspace, g: _Group, positions, dtaus, sp_positions=None, images=None):
+    """The response model of a group's stripes at batched candidates.
 
     ``positions`` (B, 3) with clock offsets ``dtaus`` (B,) give the path
-    angles and delays (``_path_geometry``: LoS, wall reflections, then the
-    scatterers at ``sp_positions`` (J, 3), or (B, J, 3) per candidate), then
-    the whitened Kronecker factors u (B, L, K) and a (B, L, M) from the
-    signal layer's ``whitened_response_parts``, the same model the bounds
-    and the synthesis use.  Returns (u, a, tau_los) with tau_los the
-    geometric LoS delay (B,).  Callers run ``_gram_cross`` themselves, so a
-    scan frees one stripe's factors before the next stripe's Gram is built.
+    angles and delays (``_path_geometry``: LoS, wall reflections from the
+    mirror ``images``, made here when None, then the scatterers at
+    ``sp_positions`` (J, 3), or (B, J, 3) per candidate), then
+    the whitened Kronecker factors u (S, B, L, K) and a (S, B, L, M) from
+    the signal layer's ``whitened_response_parts``, the same model the
+    bounds and the synthesis use.  Returns (u, a, tau_los) with tau_los the
+    geometric LoS delay (S, B).  All S stripes' factors are held at once, so
+    a scan counts its chunks in (candidate, stripe) rows (``_scan``).
     """
-    thetas, delays = _path_geometry(ws, n, positions, sp_positions)
+    if images is None:
+        images = _mirror_images(ws, positions)
+    thetas, delays = _path_geometry(g, positions, images, sp_positions)
     u, a = whitened_response_parts(thetas, delays + dtaus[..., None], ws.waveform,
-                                   ws.stripes[n], ws.disturbances[n])
+                                   g.stripe, g.disturbance)
     return u, a, delays[..., 0]
 
 
@@ -264,11 +294,14 @@ def _require_full_rank(n: int, H, rank) -> None:
 
 
 def _residuals(ws: _Workspace, fits, gains) -> np.ndarray:
-    """Whitened residuals y' - sum_l g_l c_l' of all stripes (fits with factors)
-    as one real vector per candidate; its squared norm is the exact cost."""
-    fitted = [np.einsum("...l,...lk,...lm->...km", g, f.u, f.a) for f, g in zip(fits, gains)]
-    r = [(zt - m).reshape(m.shape[:-2] + (-1,)) for zt, m in zip(ws.zt, fitted)]
-    return np.concatenate(r, axis=-1).view(float)
+    """Whitened residuals y' - sum_l g_l c_l' of all stripes (per-group fits
+    with factors and gains (S, B, L)) as one real vector per candidate,
+    stripe-major; its squared norm is the exact cost."""
+    r = []
+    for g, fit, gain in zip(ws.groups, fits, gains):
+        m = np.einsum("...l,...lk,...lm->...km", gain, fit.u, fit.a)
+        r.append((g.zt - m).swapaxes(0, 1).reshape(m.shape[1:-2] + (-1,)))
+    return (r[0] if len(r) == 1 else np.concatenate(r, axis=-1)).view(float)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +531,7 @@ def coarse_clock_offset(p, obs) -> float:
     subtracting the geometric delay to ``p`` and circularly averaging over
     stripes gives the offset in the unambiguous range [0, 1/delta_f).
     """
-    return float(_clock_tie(obs)(np.asarray(p, float).reshape(1, 3))[0])
+    return float(_clock_tie(obs)(_positions(p, one=True))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +540,10 @@ def coarse_clock_offset(p, obs) -> float:
 
 
 class _StripeFit(NamedTuple):
-    """One stripe's free-gain fit at batched candidates (``_ncp_fits``): Gram
-    ``H``, cross ``q``, geometric LoS delay, the factors ``u``/``a`` when kept,
-    the gains H^+ q, v = H^-1 e_0 (``_solve_psd``), which ``_pinned_costs``
-    needs, and the rank of H."""
+    """The free-gain fit of one group's stripes at batched candidates
+    (``_ncp_fits``), stripe axis first: Gram ``H``, cross ``q``, geometric
+    LoS delay, the factors ``u``/``a`` when kept, the gains H^+ q, v = H^-1
+    e_0 (``_solve_psd``), which ``_pinned_costs`` needs, and the rank of H."""
 
     H: np.ndarray
     q: np.ndarray
@@ -528,36 +561,34 @@ def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool =
     Per stripe, every LoS and reflected path, and every scatterer path at
     ``sp_positions`` (passed on to ``_stripe_model``), gets a free complex
     gain (``_stripe_model`` -> ``_gram_cross`` -> ``_solve_psd``, which also
-    returns v = H^-1 e_0 for ``_pinned_costs``); the
+    returns v = H^-1 e_0 for ``_pinned_costs``), one call each per group of
+    stacked stripes, which share the walls' mirror images; the
     LoS gains, derotated by their geometric carrier phases and summed over
-    stripes, point along the common phase offset.  Returns (xi_sum, fits).
-    With one scatterer per candidate, ``_ncp_cost`` of the fits is the NST
-    dip metric (``_dip_costs``, which scores it from one factored LoS +
-    reflected fit per stripe).  Only with ``exact``
-    do the fits keep their response factors u and a, all stripes at once,
-    so that is meant for a handful of candidates, not a scan chunk.
+    stripes, point along the common phase offset.  Returns (xi_sum, fits),
+    one fit per group.  With one scatterer per candidate, ``_ncp_cost`` of
+    the fits is the NST dip metric (``_dip_costs``, which scores it from one
+    factored LoS + reflected fit per stripe).  Only with ``exact`` do the
+    fits keep their response factors u and a, all stripes at once, so that
+    is meant for a handful of candidates, not a scan chunk.
     """
     fc = ws.waveform.fc
-    xi_sum = np.zeros(positions.shape[:-1], dtype=complex)
-    fits = []
-    for n in range(ws.n_stripes):
-        u, a, tau_los = _stripe_model(ws, n, positions, dtaus, sp_positions)
-        H, q = _gram_cross(u, a, ws.zt[n])
+    images = _mirror_images(ws, positions)
+    xi, fits = [], []
+    for g in ws.groups:
+        u, a, tau_los = _stripe_model(ws, g, positions, dtaus, sp_positions, images)
+        H, q = _gram_cross(u, a, g.zt)
         gains, v, rank = _solve_psd(H, q)
-        xi_sum += gains[..., 0] * np.exp(1j * _TWO_PI * fc * tau_los)
+        xi.append(gains[..., 0] * np.exp(1j * _TWO_PI * fc * tau_los))
         factors = (u, a) if exact else (None, None)
         fits.append(_StripeFit(H, q, tau_los, *factors, gains, v, rank))
-    return xi_sum, fits
+    return _stripe_sum(xi), fits
 
 
 def _ncp_cost(ws: _Workspace, fits) -> np.ndarray:
     """Noncoherent cost of ``_ncp_fits`` fits: per stripe, ||y'||^2 minus the
     explained energy Re{q^H x} (floored at zero), summed over stripes."""
-    cost = np.zeros(fits[0].q.shape[:-1])
-    for n, fit in enumerate(fits):
-        explained = np.real(np.einsum("...l,...l->...", fit.q.conj(), fit.gains))
-        cost += np.maximum(ws.ynorm2[n] - explained, 0.0)
-    return cost
+    explained = [np.real(np.einsum("...l,...l->...", f.q.conj(), f.gains)) for f in fits]
+    return _stripe_sum([np.maximum(g.ynorm2 - e, 0.0) for g, e in zip(ws.groups, explained)])
 
 
 def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
@@ -574,22 +605,21 @@ def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
     On a wall plane the LoS column equals that wall's reflection, the pin
     constrains nothing, and ``_solve_psd``'s v makes the rise vanish and
     moves the gains along the null direction.  Returns the cost, ||y'||^2
-    minus the explained energy summed over stripes, or with ``exact`` the
-    per-stripe path gains, for ``_residuals`` of the fits.
+    minus the explained energy summed over stripes, or with ``exact`` each
+    group's path gains (S, B, L), for ``_residuals`` of the fits.
     """
     fc = ws.waveform.fc
-    cost = np.zeros(np.shape(dphi))
-    gains = []
-    for n, fit in enumerate(fits):
+    terms = []
+    for g, fit in zip(ws.groups, fits):
         pin = np.exp(1j * (dphi - _TWO_PI * fc * fit.tau_los))
         off = np.imag(fit.gains[..., 0] * pin.conj())
         v0 = np.real(fit.v[..., 0])
         if exact:
-            gains.append(fit.gains - (1j * pin * off / v0)[..., None] * fit.v)
+            terms.append(fit.gains - (1j * pin * off / v0)[..., None] * fit.v)
         else:
             explained = np.real(np.einsum("...l,...l->...", fit.q.conj(), fit.gains))
-            cost += np.maximum(ws.ynorm2[n] - explained + off**2 / v0, 0.0)
-    return gains if exact else cost
+            terms.append(np.maximum(g.ynorm2 - explained + off**2 / v0, 0.0))
+    return terms if exact else _stripe_sum(terms)
 
 
 def _point_fit(ws: _Workspace, p, delta_tau, sp_positions=None, dphi=None,
@@ -604,16 +634,25 @@ def _point_fit(ws: _Workspace, p, delta_tau, sp_positions=None, dphi=None,
     A single candidate may be given unbatched (p (3,), scalar offsets).
     Returns per candidate: (residuals (B, R) of ``_residuals``, those phase
     offsets (B,), per-stripe gains (B, L), derotated LoS sums (B,))."""
-    p = np.asarray(p, float).reshape(-1, 3)
-    xi_sum, fits = _ncp_fits(ws, p, np.asarray(delta_tau, float).reshape(-1), sp_positions,
-                             exact=True)
+    xi_sum, fits = _ncp_fits(ws, _positions(p), np.asarray(delta_tau, float).reshape(-1),
+                             sp_positions, exact=True)
     if strict:
-        for n, fit in enumerate(fits):
-            for H, rank in zip(fit.H, fit.rank):
+        for n, (i, s) in enumerate(ws.slots):
+            for H, rank in zip(fits[i].H[s], fits[i].rank[s]):
                 _require_full_rank(n, H, rank)
     dphi = np.angle(xi_sum) if dphi is None else np.asarray(dphi, float).reshape(-1)
     gains = [fit.gains for fit in fits] if free else _pinned_costs(ws, fits, dphi, exact=True)
-    return _residuals(ws, fits, gains), dphi, gains, xi_sum
+    return _residuals(ws, fits, gains), dphi, [gains[i][s] for i, s in ws.slots], xi_sum
+
+
+def _positions(p, one: bool = False) -> np.ndarray:
+    """Positions (..., 3), with ``one`` exactly one, as (B, 3); ValueError
+    naming any other shape, which a reshape would read as other points."""
+    p = np.asarray(p, float)
+    if p.shape[-1:] != (3,) or (one and p.size != 3):
+        what = "one position (3,)" if one else "positions (..., 3)"
+        raise ValueError(f"expected {what}, got shape {p.shape}")
+    return p.reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +669,11 @@ def jml_basis(eta_w: WantedParams, obs, stripe_index: int) -> BasisMatrix:
     and for verifying the Gram-based solver against a dense one.
     """
     ws = _Workspace(obs)
-    u, a, tau_los = _stripe_model(ws, stripe_index, eta_w.position.reshape(1, 3),
+    i, s = ws.slots[stripe_index]
+    u, a, tau_los = _stripe_model(ws, ws.groups[i], eta_w.position.reshape(1, 3),
                                   np.array([eta_w.clock_offset]), eta_w.sp_positions)
-    c = kron_rows(u[0], a[0]).T
-    pin = np.exp(1j * (eta_w.phase_offset - _TWO_PI * ws.waveform.fc * tau_los[0]))
+    c = kron_rows(u[s, 0], a[s, 0]).T
+    pin = np.exp(1j * (eta_w.phase_offset - _TWO_PI * ws.waveform.fc * tau_los[s, 0]))
     B = np.empty((c.shape[0], 2 * c.shape[1] - 1), dtype=complex)
     B[:, 0] = pin * c[:, 0]
     B[:, 1::2] = c[:, 1:]
@@ -669,7 +709,8 @@ def rml_ncp_amplitudes_and_cost(p, delta_tau: float, obs):
     path, the line of sight included, gets an unconstrained complex gain.
     The cost is the exact residual.  Raises RankDeficient when responses collide.
     """
-    r, _, gains, _ = _point_fit(_Workspace(obs), p, delta_tau, free=True, strict=True)
+    r, _, gains, _ = _point_fit(_Workspace(obs), _positions(p, one=True), delta_tau, free=True,
+                                strict=True)
     return [g[0] for g in gains], float(r[0] @ r[0])
 
 
@@ -683,7 +724,8 @@ def estimate_phase_offset(p, delta_tau: float, obs) -> float:
     Raises ZeroAggregate when the sum is numerically zero (undefined phase),
     RankDeficient when path responses collide.
     """
-    _, dphi, _, total = _point_fit(_Workspace(obs), p, delta_tau, free=True, strict=True)
+    _, dphi, _, total = _point_fit(_Workspace(obs), _positions(p, one=True), delta_tau, free=True,
+                                   strict=True)
     if abs(total[0]) < 1e-12:
         raise ZeroAggregate("derotated line-of-sight gains sum to zero")
     return wrap_angle(float(dphi[0]))
@@ -803,7 +845,8 @@ def _separated_minima(points, costs, min_sep: float, count: int) -> list:
 
 
 def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False):
-    """``_ncp_fits`` over many candidates in chunks of ``_CHUNK``.
+    """``_ncp_fits`` over many candidates in chunks of ``_CHUNK`` (candidate,
+    stripe) rows: ``_CHUNK // N`` candidates, every stripe's at once.
 
     Candidate i is the position ``positions[i]`` with clock offset
     ``dtaus[i]``.  Returns per-candidate arrays: the noncoherent cost, the
@@ -811,15 +854,17 @@ def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False):
     pinned-phase cost at that phase (else None).
     """
     ncp, dphi, cp = [], [], []
-    for start in range(0, len(positions), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
+    size = max(1, _CHUNK // len(ws.stripes))
+    for start in range(0, len(positions), size):
+        chunk = slice(start, start + size)
         xi_sum, fits = _ncp_fits(ws, positions[chunk], dtaus[chunk])
         ncp.append(_ncp_cost(ws, fits))
         dphi.append(np.angle(xi_sum))
         if coherent:
             cp.append(_pinned_costs(ws, fits, dphi[-1]))
-        # free this chunk's Gram systems before the next chunk builds its own
-        del fits
+        # ``fits`` lives on until the next chunk's replaces it: freeing it
+        # here let the C allocator hand each chunk's memory back to the
+        # system, and a trial took about 3 times the page faults
     return np.concatenate(ncp), np.concatenate(dphi), np.concatenate(cp) if coherent else None
 
 
@@ -977,7 +1022,7 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
     -scale lobes) for diagnostics; the phase offset is re-estimated per point
     exactly as the search does.
     """
-    pts = np.asarray(positions, float).reshape(-1, 3)
+    pts = _positions(positions)
     return _scan(_Workspace(obs), pts, np.full(len(pts), float(delta_tau)), coherent=True)[2]
 
 
@@ -1001,14 +1046,13 @@ def _require_null_space(ws: _Workspace) -> None:
 def _dip_costs(ws: _Workspace, p_hat, delta_tau: float, cands) -> np.ndarray:
     """NST dip metric of scatterer candidates ``cands`` (B, 3) at the
     plugged-in UE position ``p_hat`` (3,) and clock offset ``delta_tau``:
-    ``_ncp_cost`` of the joint free-gain fit of LoS + RP + one candidate,
-    scored in chunks of ``_CHUNK``.
+    ``_ncp_cost`` of the joint free-gain fit of LoS + RP + one candidate.
 
     By the Frisch-Waugh-Lovell identity the residual of that joint fit is the
     null-space residual, the data and the candidate column c both projected
-    off the fixed LoS + RP span C0.  So per stripe and chunk one
-    ``_stripe_model`` call, with p_hat the single position and the
-    candidates its scatterers, gives C0 and every c; the fixed Gram
+    off the fixed LoS + RP span C0.  So per chunk one ``_stripe_model`` call
+    per group of stripes, with p_hat the single position and the
+    candidates its scatterers, gives each stripe's C0 and every c; the fixed Gram
     H0 = C0^H C0 is Cholesky-factored and x0 = H0^-1 q0 solved once, and a
     candidate costs only its cross terms h = C0^H c, its energy ||c||^2, its
     data cross q_s = c^H y', w = H0^-1 h and the Schur complement
@@ -1018,39 +1062,45 @@ def _dip_costs(ws: _Workspace, p_hat, delta_tau: float, cands) -> np.ndarray:
     ``_solve_psd``'s certification of the joint Gram H is evaluated per
     candidate through tr H^-1 = tr H0^-1 + (1 + ||w||^2) / s.  A candidate
     that fails it on any stripe, and every candidate when H0 fails to factor
-    or to certify, is scored by ``_ncp_cost(_ncp_fits(...))`` instead.
+    or to certify on a stripe, is scored by ``_ncp_cost(_ncp_fits(...))``
+    instead.  Chunks are ``_scan``'s, ``_CHUNK // N`` candidates each.
     """
     p = np.asarray(p_hat, float).reshape(1, 3)
     dtaus = np.array([float(delta_tau)])
+    images = _mirror_images(ws, p)
+    size = max(1, _CHUNK // len(ws.stripes))
     costs = []
-    for start in range(0, len(cands), _CHUNK):
-        sps = cands[start : start + _CHUNK]
-        cost = np.zeros(len(sps))
+    for start in range(0, len(cands), size):
+        sps = cands[start : start + size]
+        terms = []
         ok = np.ones(len(sps), bool)
-        for n in range(ws.n_stripes):
-            u, a, _ = _stripe_model(ws, n, p, dtaus, sps)
-            (u0, uc), (a0, ac) = np.split(u[0], [-len(sps)]), np.split(a[0], [-len(sps)])
-            H0, q0 = _gram_cross(u0, a0, ws.zt[n])
-            (Ci,), (certified,) = _certified_inverse_factors(H0[None])
-            if not certified:
-                ok[:] = False
-                break
-            H0i = Ci.conj().T @ Ci
-            # per-candidate products as stacked (B, 1, .) rows, each too small
-            # for BLAS to thread: a flat complex (B, K) @ (K, M) product was
-            # measured at 8 ms against 0.09 ms single-threaded on a loaded
+        for g in ws.groups:
+            u, a, _ = _stripe_model(ws, g, p, dtaus, sps, images)
+            (u0, uc), (a0, ac) = (np.split(f[:, 0], [-len(sps)], axis=1) for f in (u, a))
+            H0, q0 = _gram_cross(u0, a0, g.zt[:, 0])
+            Ci, certified = _certified_inverse_factors(H0)
+            ok &= certified.all()
+            H0i = np.swapaxes(Ci.conj(), -1, -2) @ Ci
+            # per-candidate products as stacked (S, B, 1, .) rows, each too
+            # small for BLAS to thread: a flat complex (B, K) @ (K, M) product
+            # was measured at 8 ms against 0.09 ms single-threaded on a loaded
             # 2-core machine, while the stacked rows never took over 0.6 ms
-            h = ((uc[:, None, :] @ u0.conj().T) * (ac[:, None, :] @ a0.conj().T))[:, 0]
-            qs = np.sum((uc.conj()[:, None, :] @ ws.zt[n])[:, 0] * ac.conj(), axis=-1)
+            h = ((uc[:, :, None, :] @ np.swapaxes(u0.conj(), -1, -2)[:, None])
+                 * (ac[:, :, None, :] @ np.swapaxes(a0.conj(), -1, -2)[:, None]))[:, :, 0]
+            qs = np.sum((uc.conj()[:, :, None, :] @ g.zt)[:, :, 0] * ac.conj(), axis=-1)
             cc = np.sum(np.abs(uc) ** 2, axis=-1) * np.sum(np.abs(ac) ** 2, axis=-1)
-            w = (h[:, None, :] @ H0i.T)[:, 0]
+            w = (h[:, :, None, :] @ np.swapaxes(H0i, -1, -2)[:, None])[:, :, 0]
             s = cc - np.real(np.sum(h.conj() * w, axis=-1))
-            g = qs - (w.conj()[:, None, :] @ q0[:, None])[:, 0, 0]
+            gq = qs - (w.conj()[:, :, None, :] @ q0[:, None, :, None])[:, :, 0, 0]
             with np.errstate(divide="ignore", invalid="ignore"):
-                tr = np.sum(np.abs(Ci) ** 2) + (1.0 + np.sum(np.abs(w) ** 2, axis=-1)) / s
-                ok &= (s > 0.0) & (tr * (_RANK_RTOL * (np.real(np.trace(H0)) + cc)) < 1.0)
-                explained = np.real(np.vdot(q0, H0i @ q0)) + np.abs(g) ** 2 / s
-            cost += np.maximum(ws.ynorm2[n] - explained, 0.0)
+                tr = np.sum(np.abs(Ci) ** 2, axis=(-2, -1))[:, None] + (
+                    1.0 + np.sum(np.abs(w) ** 2, axis=-1)) / s
+                trace = np.real(np.trace(H0, axis1=-2, axis2=-1))[:, None]
+                ok &= np.all((s > 0.0) & (tr * (_RANK_RTOL * (trace + cc)) < 1.0), axis=0)
+                x0 = H0i @ q0[..., None]
+                explained = np.real(q0.conj()[:, None, :] @ x0)[:, :, 0] + np.abs(gq) ** 2 / s
+            terms.append(np.maximum(g.ynorm2 - explained, 0.0))
+        cost = _stripe_sum(terms)
         if not ok.all():
             fail = ~ok
             m = int(fail.sum())
@@ -1069,11 +1119,9 @@ def nst_kernels(obs, p_hat, delta_tau_hat: float) -> list:
     _require_null_space(ws)
     positions = np.asarray(p_hat, float).reshape(1, 3)
     dtaus = np.array([float(delta_tau_hat)])
-    kernels = []
-    for n in range(ws.n_stripes):
-        u, a, _ = _stripe_model(ws, n, positions, dtaus)
-        kernels.append(null_space(kron_rows(u[0], a[0]).conj()))
-    return kernels
+    factors = [_stripe_model(ws, g, positions, dtaus)[:2] for g in ws.groups]
+    return [null_space(kron_rows(factors[i][0][s, 0], factors[i][1][s, 0]).conj())
+            for i, s in ws.slots]
 
 
 def nst_map_scatterers(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.constants import Boltzmann
 
 from .channel import (
     DisturbanceCov,
@@ -24,6 +23,8 @@ from .channel import (
     sp_amplitude,
 )
 from .geometry import SPEED_OF_LIGHT, PathGeometry, PathKind, Stripe, enumerate_paths
+
+BOLTZMANN = 1.380649e-23  # J/K, exact in the SI, as scipy.constants gives it
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class Waveform:
     @property
     def sigma2(self) -> float:
         """Total thermal noise power over the band, k_B * T * B."""
-        return Boltzmann * self.temperature * self.bandwidth
+        return BOLTZMANN * self.temperature * self.bandwidth
 
     @property
     def wavelength(self) -> float:

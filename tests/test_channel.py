@@ -10,6 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stripeloc.channel import (
+    EPSILON_0,
+    MU_0,
     DisturbanceCov,
     DmcParams,
     Material,
@@ -24,7 +26,7 @@ from stripeloc.channel import (
     sp_amplitude,
 )
 from stripeloc.geometry import PathGeometry, PathKind, Stripe, Wall, enumerate_paths
-from stripeloc.signal import Waveform
+from stripeloc.signal import BOLTZMANN, Waveform
 
 import oracles
 from conftest import toy_scene
@@ -340,3 +342,14 @@ def test_validation_errors():
         DmcParams(-1.0, 0.5, 0.1)
     with pytest.raises(ValueError):
         disturbance_covariance(DmcParams(0.0, 0.5, 0.1), 1.0, np.ones(4), 4, 2)
+
+
+def test_physical_constants_equal_scipy_constants_bit_for_bit():
+    # the package writes out the constants it once imported from
+    # scipy.constants, so that importing it does not load that module; each
+    # must be that module's float, bit for bit, or every bound would move
+    import scipy.constants
+
+    for ours, theirs in [(EPSILON_0, scipy.constants.epsilon_0), (MU_0, scipy.constants.mu_0),
+                         (BOLTZMANN, scipy.constants.Boltzmann)]:
+        assert float(ours).hex() == float(theirs).hex()

@@ -217,19 +217,22 @@ def test_path_geometry_matches_enumerate_paths(scene, n_sp):
     # path_delay, and differ from them only in the last bit: numpy's arctan2
     # against math.atan2, mirror-image against two-leg reflection delays
     sc = scene()
-    ws = SimpleNamespace(stripes=sc.stripes, walls=sc.walls)
+    ws = estimators._Workspace(synthesize(sc, rng_seed=0))
     (x0, x1), (y0, y1) = estimators._axis_aligned_box(ws)
     positions = np.random.default_rng(7).uniform([x0 + 0.3, y0 + 0.3, 0.3],
                                                  [x1 - 0.3, y1 - 0.3, 2.2], (16, 3))
     sps = np.array([s.position for s in sc.scatterers])
     assert len(sps) == n_sp
     per_candidate = np.broadcast_to(sps, (len(positions),) + sps.shape)
+    (group,) = ws.groups
+    images = estimators._mirror_images(ws, positions)
+    thetas, delays = estimators._path_geometry(group, positions, images, sps)
+    batched = estimators._path_geometry(group, positions, images, per_candidate)
+    np.testing.assert_array_equal(batched[0], thetas)
+    np.testing.assert_array_equal(batched[1], delays)
+    assert group.index.tolist() == list(range(len(sc.stripes)))
     for n in range(len(sc.stripes)):
-        thetas, delays = estimators._path_geometry(ws, n, positions, sps)
-        batched = estimators._path_geometry(ws, n, positions, per_candidate)
-        np.testing.assert_array_equal(batched[0], thetas)
-        np.testing.assert_array_equal(batched[1], delays)
-        for p, theta, delay in zip(positions, thetas, delays):
+        for p, theta, delay in zip(positions, thetas[n], delays[n]):
             paths = enumerate_paths(dataclasses.replace(sc, ue_position=p, clock_offset=0.0), n)
             assert {path.kind for path in paths} == set(PathKind)
             np.testing.assert_allclose(theta, [path.aoa for path in paths], rtol=0, atol=1e-12)
@@ -466,6 +469,24 @@ def test_cp_cost_slice_matches_pinned_stacked_real_oracle(est_scene, noisy_obs):
         assert abs(cost - r @ r) <= 1e-9 * (r @ r)
         _, ncp_cost = rml_ncp_amplitudes_and_cost(p, dt, noisy_obs)
         assert cost > ncp_cost * (1.0 + 1e-6)
+
+
+def test_positions_of_the_wrong_shape_are_refused(est_scene, noisy_obs):
+    # a reshape to (-1, 3) read a (6, 2) slice as 4 scrambled points, and a
+    # 6-vector handed to a point function as its first 3 coordinates
+    p, dt = est_scene.ue_position, est_scene.clock_offset
+    xy = p[:2] + np.linspace(-0.1, 0.1, 6)[:, None]
+    with pytest.raises(ValueError, match=r"shape \(6, 2\)"):
+        cp_cost_slice(noisy_obs, xy, dt)
+    assert cp_cost_slice(noisy_obs, np.stack([p, p]), dt).shape == (2,)
+    point_functions = [lambda q: rml_ncp_amplitudes_and_cost(q, dt, noisy_obs),
+                       lambda q: estimate_phase_offset(q, dt, noisy_obs),
+                       lambda q: coarse_clock_offset(q, noisy_obs)]
+    for call in point_functions:
+        for bad in (np.concatenate([p, p]), np.stack([p, p]), p[:2]):
+            with pytest.raises(ValueError, match=rf"shape \({bad.shape[0]},"):
+                call(bad)
+        call(p[None])
 
 
 def test_cp_cost_slice_on_wall_plane_matches_stacked_real_oracle():
@@ -732,6 +753,103 @@ def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs, monkeypatch):
         chunked, estimators._dip_costs(ws, est_scene.ue_position, est_scene.clock_offset, sps))
 
 
+def mixed_stripe_scene():
+    """The estimation scene with stripes that differ: stripe 1 has 6
+    antennas, stripe 2 is unmounted, 0.1 m into the room, so it sees all
+    four walls (L = 6 paths against 5 with the scatterer)."""
+    sc = estimation_scenario()
+    stripes = list(sc.stripes)
+    stripes[1] = dataclasses.replace(stripes[1], num_antennas=6)
+    s2 = stripes[2]
+    boresight = np.array([-math.sin(s2.azimuth), math.cos(s2.azimuth), 0.0])
+    stripes[2] = dataclasses.replace(s2, mounted_wall=None,
+                                     phase_center=s2.phase_center + 0.1 * boresight)
+    return dataclasses.replace(sc, stripes=tuple(stripes))
+
+
+def last_stripe_m6_scene():
+    """The estimation scene with 6 antennas on its last stripe: a group of
+    three stacked stripes, then a group of one."""
+    sc = estimation_scenario()
+    last = dataclasses.replace(sc.stripes[-1], num_antennas=6)
+    return dataclasses.replace(sc, stripes=sc.stripes[:-1] + (last,))
+
+
+def single_stripe(obs, n):
+    """Stripe ``n`` of ``obs`` alone, as a one-stripe observation set."""
+    sc = obs.scenario
+    one = dataclasses.replace(sc, stripes=(sc.stripes[n],),
+                              phase_offsets=sc.phase_offsets[n : n + 1])
+    return ObservationSet(one, [obs.observations[n]], [obs.disturbances[n]])
+
+
+# scenes and the sizes of their groups of stacked stripes
+STRIPE_MIXES = {"estimation": (estimation_scenario, [4]), "mixed": (mixed_stripe_scene, [1] * 4),
+                "last-m6": (last_stripe_m6_scene, [3, 1])}
+
+
+@pytest.mark.parametrize("mix", STRIPE_MIXES)
+def test_stacked_fit_rows_equal_single_stripe_fits(mix):
+    # one model call fits a whole group of stacked stripes; each stripe's
+    # rows of it must be that stripe's own fit, byte for byte, however the
+    # stripes fall into groups
+    scene, sizes = STRIPE_MIXES[mix]
+    sc = scene()
+    obs = synthesize(sc, rng_seed=(9, 2))
+    ws = estimators._Workspace(obs)
+    assert [len(g.index) for g in ws.groups] == sizes
+    rng = np.random.default_rng(3)
+    B = 5
+    p = sc.ue_position + rng.uniform(-0.05, 0.05, (B, 3)) * [1.0, 1.0, 0.0]
+    dt = sc.clock_offset + rng.uniform(-1e-10, 1e-10, B)
+    sps = sc.scatterers[0].position + rng.uniform(-0.2, 0.2, (B, 1, 3))
+    _, fits = estimators._ncp_fits(ws, p, dt, sps, exact=True)
+    for n, (i, s) in enumerate(ws.slots):
+        assert ws.groups[i].index[s] == n
+        _, (alone,) = estimators._ncp_fits(estimators._Workspace(single_stripe(obs, n)), p, dt,
+                                           sps, exact=True)
+        for field in estimators._StripeFit._fields:
+            assert getattr(fits[i], field)[s].tobytes() == getattr(alone, field)[0].tobytes(), field
+
+
+def test_mixed_stripes_noise_free_pipeline_recovers_truth():
+    # stripes of two antenna counts and two path counts, fitted as separate
+    # stacked groups: noise-free, the pipeline ends JML at the truth
+    sc = mixed_stripe_scene()
+    obs = synthesize(sc, rng_seed=3, noise_scale=0.0)
+    assert len(estimators._Workspace(obs).groups) == 4
+    jml = run_pipeline(obs)[3]
+    assert np.linalg.norm(jml.ue_position - sc.ue_position) <= 1e-9
+    assert abs(jml.clock_offset - sc.clock_offset) * SPEED_OF_LIGHT <= 1e-9
+    np.testing.assert_allclose(jml.sp_positions, [s.position for s in sc.scatterers],
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mix", STRIPE_MIXES)
+def test_scans_do_not_depend_on_chunk_size(mix, monkeypatch):
+    # every row of a scan chunk is computed on its own, so a chunk of one
+    # candidate (7 rows over 4 stripes) scores each candidate with the bits
+    # of the default chunk, coherent, noncoherent and NST alike; candidates
+    # at the UE exercise the dip metric's unfactored fallback
+    sc = STRIPE_MIXES[mix][0]()
+    ws = estimators._Workspace(synthesize(sc, rng_seed=(9, 4)))
+    rng = np.random.default_rng(6)
+    pts = sc.ue_position + rng.uniform(-0.4, 0.4, (90, 3)) * [1.0, 1.0, 0.0]
+    dtaus = sc.clock_offset + rng.uniform(-2e-9, 2e-9, len(pts))
+    sps = np.vstack([sc.ue_position + rng.uniform(-1.5, 1.5, (90, 3)), sc.ue_position])
+
+    def scores():
+        coherent = estimators._scan(ws, pts, dtaus, coherent=True)
+        ncp, dphi, none = estimators._scan(ws, pts, dtaus)
+        assert none is None
+        dips = estimators._dip_costs(ws, sc.ue_position, sc.clock_offset, sps)
+        return [a.tobytes() for a in (*coherent, ncp, dphi, dips)]
+
+    default = scores()
+    monkeypatch.setattr(estimators, "_CHUNK", 7)
+    assert scores() == default
+
+
 def _nst_grid(ws):
     axes = estimators._box_axes(ws, NstConfig().step, None, estimators._NST_Z_RANGE)
     return estimators._mesh(axes, ws.known_height)
@@ -767,8 +885,8 @@ def test_dip_costs_equal_joint_fit_on_nst_grid(scene):
     assert len(cands) > estimators._CHUNK
     fits = _joint_fits(ws, p, sc.clock_offset, cands)
     want = estimators._ncp_cost(ws, fits)
-    kappa = np.max([np.real(f.H[:, -1, -1] * np.linalg.inv(f.H)[:, -1, -1]) for f in fits],
-                   axis=0)
+    kappa = np.max(np.concatenate([np.real(f.H[..., -1, -1] * np.linalg.inv(f.H)[..., -1, -1])
+                                   for f in fits]), axis=0)
     got = estimators._dip_costs(ws, p, sc.clock_offset, cands)
     rtol = np.maximum(1e-12, 32.0 * np.finfo(float).eps * kappa)
     assert np.all(np.abs(got - want) <= rtol * want)
@@ -1145,20 +1263,20 @@ jml = estimators.run_pipeline(signal.synthesize(sc, rng_seed=(43, 4)))[3]
 fields = (jml.ue_position, jml.sp_positions, jml.clock_offset, jml.phase_offset, jml.cost)
 print(b"".join(np.float64(v).tobytes() if np.isscalar(v) else v.tobytes()
                for v in fields).hex(), jml.cost_trace)
-print("scipy.optimize" in sys.modules)
+print("scipy.optimize" in sys.modules, "scipy.constants" in sys.modules)
 """
 
 
 def test_pipeline_is_reproducible_in_fresh_processes():
     # draw (43, 4) ended JML at one of two costs from process to process
     # while a compiled solver read memory it had not written; the pipeline
-    # must not load scipy.optimize at all
+    # must not load scipy.optimize at all, and the package not scipy.constants
     src = str(Path(estimators.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     outs = [subprocess.run([sys.executable, "-c", _FRESH_JML], env=env, capture_output=True,
                            text=True, timeout=300, check=True).stdout for _ in range(2)]
     assert outs[0] == outs[1]
-    assert outs[0].splitlines()[1] == "False"
+    assert outs[0].splitlines()[1] == "False False"
 
 
 @pytest.mark.parametrize("stage", ["position", "jml", "pipeline"])
