@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DegenerateGeometry, NumericalFailure
 from .geometry import PathGeometry, PathKind, SPEED_OF_LIGHT, Stripe, wrap_angle
@@ -222,10 +221,14 @@ def dmc_frequency_covariance(dmc: DmcParams, K: int, delta_f: float) -> np.ndarr
 
     The generating sequence is the PSD sampled at normalized lags k/K,
     k = 0..K-1 (the subcarrier spacing cancels against the normalization, so
-    the result does not depend on ``delta_f``).
+    the result does not depend on ``delta_f``).  Entry (i, j) is kappa[i - j]
+    for i >= j and conj(kappa[j - i]) above the diagonal.
     """
     kappa = dmc_psd(dmc, np.arange(K) / float(K))
-    return toeplitz(kappa, kappa.conj())
+    # vals[K - 1 + m] is entry (i, i - m): conj(kappa[-m]) for m < 0, kappa[m] else
+    vals = np.concatenate((kappa[:0:-1].conj(), kappa))
+    lags = np.arange(K)
+    return vals[K - 1 + lags[:, None] - lags[None, :]]
 
 
 class DisturbanceCov:

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (
     KernelEmpty,
@@ -1120,8 +1119,16 @@ def nst_kernels(obs, p_hat, delta_tau_hat: float) -> list:
     positions = np.asarray(p_hat, float).reshape(1, 3)
     dtaus = np.array([float(delta_tau_hat)])
     factors = [_stripe_model(ws, g, positions, dtaus)[:2] for g in ws.groups]
-    return [null_space(kron_rows(factors[i][0][s, 0], factors[i][1][s, 0]).conj())
+    return [_null_space(kron_rows(factors[i][0][s, 0], factors[i][1][s, 0]).conj())
             for i, s in ws.slots]
+
+
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of ``A`` from its full SVD; singular
+    values at or below max(s) * eps * max(A.shape) count as zero."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
+    return vh[int(np.sum(s > tol)):].T.conj()
 
 
 def nst_map_scatterers(

@@ -14,12 +14,12 @@ pseudo-delays, all phases, all amplitudes).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateGeometry, SemanticError, SingularFim
 from .geometry import (
@@ -302,9 +302,18 @@ def _null_direction(S: np.ndarray) -> np.ndarray:
 
 
 def _scaled_cholesky(A: np.ndarray, name: str, first: int, singular: str):
-    """Cholesky factor of ``A`` scaled to a unit diagonal, and the scale; raises
-    SingularFim for a nonpositive diagonal (``name`` number ``first + k``) or a
-    failed factorization (message ``singular``)."""
+    """Solver for ``A`` scaled to a unit diagonal, and the scale: ``solve(b)``
+    applies the inverse of A / outer(scale, scale) through its Cholesky
+    factor.  Raises SingularFim for a nonpositive diagonal (``name`` number
+    ``first + k``) or a failed factorization (message ``singular``).
+
+    LAPACK's potrf/potrs come from scipy.linalg, imported here so that
+    importing the package does not load it: numpy's solves round differently
+    and move the bounds of ill-conditioned configurations by several 1e-8
+    relative.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
     dg = np.diag(A)
     if np.any(dg <= 0.0):
         k = int(np.argmin(dg))
@@ -317,7 +326,7 @@ def _scaled_cholesky(A: np.ndarray, name: str, first: int, singular: str):
         cf = cho_factor(S, lower=True)
     except np.linalg.LinAlgError:
         raise SingularFim(singular, null_direction=_null_direction(S)) from None
-    return cf, scale
+    return functools.partial(cho_solve, cf), scale
 
 
 def efim(J: np.ndarray, layout: ParamLayout) -> np.ndarray:
@@ -332,11 +341,11 @@ def efim(J: np.ndarray, layout: ParamLayout) -> np.ndarray:
     Juu = J[w:, w:]
     if Juu.size == 0:
         return Jww.copy()
-    cf, scale = _scaled_cholesky(
+    solve, scale = _scaled_cholesky(
         Juu, "nuisance parameter", w, "nuisance information block is singular"
     )
     B = Jwu / scale[None, :]
-    E = Jww - B @ cho_solve(cf, B.T)
+    E = Jww - B @ solve(B.T)
     return 0.5 * (E + E.T)
 
 
@@ -372,8 +381,8 @@ def _crb_to_report(crb: np.ndarray, layout: ParamLayout, cond: float, note: str 
 
 def bounds(E: np.ndarray, layout: ParamLayout) -> BoundsReport:
     """Invert the EFIM and read off PEB/CEB/CPEB/SP-PEBs."""
-    cf, scale = _scaled_cholesky(E, "wanted parameter", 0, "equivalent FIM is singular")
-    Sinv = cho_solve(cf, np.eye(E.shape[0]))
+    solve, scale = _scaled_cholesky(E, "wanted parameter", 0, "equivalent FIM is singular")
+    Sinv = solve(np.eye(E.shape[0]))
     crb = Sinv / np.outer(scale, scale)
     return _crb_to_report(crb, layout, float(np.linalg.cond(E)))
 

@@ -258,6 +258,19 @@ def test_dmc_covariance_matches_bruteforce():
     assert_allclose(R_f, R_f.conj().T, atol=1e-14)
 
 
+@pytest.mark.parametrize("K", [1, 2, 20, 257])
+@pytest.mark.parametrize("dmc", [DmcParams(1.7, 0.4, 0.23), DmcParams(0.3, 2.5, 0.0)])
+def test_dmc_covariance_equals_scipy_toeplitz_bytes(dmc, K):
+    # the numpy builder only copies values, so it must give scipy's bits
+    from scipy.linalg import toeplitz
+
+    kappa = dmc_psd(dmc, np.arange(K) / float(K))
+    R_f = dmc_frequency_covariance(dmc, K, 1e6)
+    want = toeplitz(kappa, kappa.conj())
+    assert R_f.dtype == want.dtype and R_f.shape == want.shape == (K, K)
+    assert R_f.tobytes() == want.tobytes()
+
+
 def test_dmc_psd_onset_phase():
     dmc = DmcParams(1.0, 0.3, 0.7)
     f = np.array([0.25])

@@ -1,11 +1,22 @@
-"""Static check of the package source: every module reads each name it imports."""
+"""Checks of the package's imports: every module reads each name it imports,
+and importing the package loads numpy and the standard library only."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stripeloc"
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on the package source."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +47,34 @@ def test_package_modules_have_no_unused_imports():
     unused = [f"{p.name}:{line} {name}"
               for p in modules for line, name in unused_imports(p.read_text())]
     assert unused == []
+
+
+_IMPORT_SET = """
+import sys
+before = set(sys.modules)
+import stripeloc
+new = {name.split(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(new - set(sys.stdlib_module_names))))
+"""
+
+
+def test_import_loads_numpy_only():
+    # the snapshots are diffed because site hooks may load packages (such as
+    # certifi) before any user code runs; scipy.linalg is loaded by the first
+    # bound, never by the import
+    assert run_fresh(_IMPORT_SET).split() == ["numpy", "stripeloc"]
+
+
+_BOUNDS_LOAD = """
+import sys
+import stripeloc
+print("scipy.linalg" in sys.modules)
+sc = stripeloc.canonical_scenario()
+stripeloc.compute_bounds(sc, stripeloc.FimOptions(sync_mode=sc.sync_mode, D=sc.D))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_first_bound_loads_scipy_linalg():
+    # the bounds keep LAPACK's Cholesky through scipy.linalg, imported on use
+    assert run_fresh(_BOUNDS_LOAD).split() == ["False", "True"]
