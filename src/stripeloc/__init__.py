@@ -19,9 +19,9 @@ from .estimators import (
     SearchConfig,
     WantedParams,
     coarse_clock_offset,
+    cp_cost_slice,
     estimate_phase_offset,
     jml_amplitudes,
-    jml_basis,
     jml_cost,
     jml_refine,
     nst_kernels,

@@ -60,10 +60,6 @@ class Scatterer:
         if self.radius <= 0.0:
             raise ValueError("scatterer radius must be positive")
 
-    def in_optical_region(self, wavelength: float) -> bool:
-        """True when the sphere is large against the wavelength (2*pi*r/lambda > 10)."""
-        return 2.0 * math.pi * self.radius / wavelength > 10.0
-
     def rcs(self) -> float:
         """Optical-region radar cross section pi*r^2 (m^2), isotropic."""
         return math.pi * self.radius**2
@@ -293,10 +289,6 @@ class DisturbanceCov:
     def dense(self) -> np.ndarray:
         """Dense MK x MK covariance (tests and small instances only)."""
         return np.kron(self.Q, np.eye(self.M))
-
-    def dense_whitener(self) -> np.ndarray:
-        """Dense MK x MK matrix equal to R^{-1/2} (tests only)."""
-        return np.kron(self.q_isqrt, np.eye(self.M))
 
 
 def disturbance_covariance(

@@ -16,11 +16,7 @@ class NumericalFailure(StripelocError):
 
 
 class SingularFim(StripelocError):
-    """Fisher information matrix is singular; carries a null-space direction diagnostic."""
-
-    def __init__(self, message: str, null_direction=None):
-        super().__init__(message)
-        self.null_direction = null_direction
+    """Fisher information matrix is singular."""
 
 
 class RankDeficient(StripelocError):

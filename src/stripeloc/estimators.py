@@ -325,21 +325,6 @@ class WantedParams:
 
 
 @dataclass(frozen=True)
-class BasisMatrix:
-    """Per-stripe model basis: phase-pinned LoS column plus (c', jc') pairs."""
-
-    B: np.ndarray
-
-    @property
-    def n_columns(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def stacked_real(self) -> np.ndarray:
-        return np.vstack([self.B.real, self.B.imag])
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     """One stage's estimate of the wanted parameters plus diagnostics:
     ``cost`` is the stage's residual cost at these parameters, ``amplitudes``
@@ -457,19 +442,22 @@ def _mesh(axes, height) -> np.ndarray:
 def _box_axes(ws: _Workspace, step: float, box, z_range) -> list:
     """Per-axis coordinates at ``step`` over ``box`` shrunk by ``_WALL_MARGIN`` per side.
 
-    Without a box the room footprint is used, plus an unshrunk z axis over
-    ``z_range``; ``z_range=None`` asks for x and y only, the grid sitting at
-    the known UE height.
+    A box gives one (lo, hi) pair per searched axis, D of them (ValueError
+    otherwise).  Without a box the room footprint is used, plus an unshrunk
+    z axis over ``z_range``; ``z_range=None`` asks for x and y only, the grid
+    sitting at the known UE height.
     """
     extra = []
     if box is None:
         box = _axis_aligned_box(ws)
         if z_range is not None:
             extra = [_grid_1d(z_range[0], z_range[1], step)]
+    elif len(box) != ws.D:
+        raise ValueError(f"search box has {len(box)} (lo, hi) pairs; D = {ws.D} needs {ws.D}")
     axes = [_grid_1d(lo + _WALL_MARGIN, hi - _WALL_MARGIN, step) for lo, hi in box] + extra
-    if not axes or any(ax.size == 0 for ax in axes):
+    if any(ax.size == 0 for ax in axes):
         raise SearchFailure("empty search grid; widen the box")
-    return axes if z_range is not None else axes[:2]
+    return axes
 
 
 def _decimation(ws: _Workspace, axes, step: float) -> int:
@@ -659,27 +647,6 @@ def _positions(p, one: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def jml_basis(eta_w: WantedParams, obs, stripe_index: int) -> BasisMatrix:
-    """Explicit per-stripe basis matrix at a wanted-parameter point.
-
-    Column 0 carries the line-of-sight response rotated to its carrier phase
-    (real coefficient); every remaining path contributes a (c', jc') pair.
-    The fast paths never materialize this matrix -- it exists for inspection
-    and for verifying the Gram-based solver against a dense one.
-    """
-    ws = _Workspace(obs)
-    i, s = ws.slots[stripe_index]
-    u, a, tau_los = _stripe_model(ws, ws.groups[i], eta_w.position.reshape(1, 3),
-                                  np.array([eta_w.clock_offset]), eta_w.sp_positions)
-    c = kron_rows(u[s, 0], a[s, 0]).T
-    pin = np.exp(1j * (eta_w.phase_offset - _TWO_PI * ws.waveform.fc * tau_los[s, 0]))
-    B = np.empty((c.shape[0], 2 * c.shape[1] - 1), dtype=complex)
-    B[:, 0] = pin * c[:, 0]
-    B[:, 1::2] = c[:, 1:]
-    B[:, 2::2] = 1j * c[:, 1:]
-    return BasisMatrix(B=B)
-
-
 def jml_amplitudes(eta_w: WantedParams, obs) -> list:
     """Closed-form per-stripe path gains at a wanted-parameter point.
 
@@ -843,61 +810,55 @@ def _separated_minima(points, costs, min_sep: float, count: int) -> list:
     return picked
 
 
-def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False):
+def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False) -> np.ndarray:
     """``_ncp_fits`` over many candidates in chunks of ``_CHUNK`` (candidate,
     stripe) rows: ``_CHUNK // N`` candidates, every stripe's at once.
 
     Candidate i is the position ``positions[i]`` with clock offset
-    ``dtaus[i]``.  Returns per-candidate arrays: the noncoherent cost, the
-    phase offset of the derotated LoS sum, and, only when ``coherent``, the
-    pinned-phase cost at that phase (else None).
+    ``dtaus[i]``.  Returns each candidate's noncoherent cost or, with
+    ``coherent``, its pinned-phase cost at the phase offset of its
+    derotated LoS sum.
     """
-    ncp, dphi, cp = [], [], []
+    costs = []
     size = max(1, _CHUNK // len(ws.stripes))
     for start in range(0, len(positions), size):
         chunk = slice(start, start + size)
         xi_sum, fits = _ncp_fits(ws, positions[chunk], dtaus[chunk])
-        ncp.append(_ncp_cost(ws, fits))
-        dphi.append(np.angle(xi_sum))
-        if coherent:
-            cp.append(_pinned_costs(ws, fits, dphi[-1]))
+        costs.append(_pinned_costs(ws, fits, np.angle(xi_sum)) if coherent
+                     else _ncp_cost(ws, fits))
         # ``fits`` lives on until the next chunk's replaces it: freeing it
         # here let the C allocator hand each chunk's memory back to the
         # system, and a trial took about 3 times the page faults
-    return np.concatenate(ncp), np.concatenate(dphi), np.concatenate(cp) if coherent else None
-
-
-def _grid_scan(ws: _Workspace, tie, points, coherent: bool = False):
-    """``_scan`` of ``points`` at the clock offsets ``tie`` assigns them.
-    Returns the best noncoherent cell as (cost, point, clock offset, phase
-    offset, index), every point's clock offset, and with ``coherent`` every
-    point's pinned-phase cost."""
-    dtaus = tie(points)
-    ncp, dphi, cp = _scan(ws, points, dtaus, coherent=coherent)
-    k = int(np.argmin(ncp))
-    return (float(ncp[k]), points[k], float(dtaus[k]), float(dphi[k]), k), dtaus, cp
+    return np.concatenate(costs)
 
 
 def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
     """Best noncoherent cell of the coarse lattice at ``cfg.step``, as
-    ``_grid_scan`` reports it.
+    (cost, point, clock offset), every point at the clock offset ``tie``
+    assigns it.
 
     The noncoherent cost is smooth on the scale of its narrowest lobe, so
     the sub-lattice of every ``_decimation``-th coordinate per axis is scored
     first, then every lattice point within that stride of its best cell; the
-    better of the two wins.  Each scored point is a lattice point, taken from
-    the same per-axis coordinates.
+    better of the two wins, the sub-lattice's on a tie.  Each scored point
+    is a lattice point, taken from the same per-axis coordinates.
     """
+    def pick(axes):
+        points = _mesh(axes, ws.known_height)
+        dtaus = tie(points)
+        costs = _scan(ws, points, dtaus)
+        i = int(np.argmin(costs))
+        return (float(costs[i]), points[i], float(dtaus[i])), i
+
     step = cfg.step if cfg.step is not None else ws.waveform.wavelength / 4.0
     axes = _box_axes(ws, step, cfg.box, _Z_RANGE if ws.D == 3 else None)
     k = _decimation(ws, axes, step)
     sub = [ax[::k] for ax in axes]
-    best = _grid_scan(ws, tie, _mesh(sub, ws.known_height))[0]
+    best, i = pick(sub)
     if k > 1:
-        cell = np.unravel_index(best[4], [len(ax) for ax in sub])
-        near = [ax[max(0, k * i - k) : k * i + k + 1] for ax, i in zip(axes, cell)]
-        polish = _grid_scan(ws, tie, _mesh(near, ws.known_height))[0]
-        best = min(best, polish, key=lambda b: b[0])
+        cell = np.unravel_index(i, [len(ax) for ax in sub])
+        near = [ax[max(0, k * j - k) : k * j + k + 1] for ax, j in zip(axes, cell)]
+        best = min(best, pick(near)[0], key=lambda b: b[0])
     return best
 
 
@@ -955,7 +916,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     lam = ws.waveform.wavelength
     D = ws.D
     tie = _clock_tie(obs)
-    _, p_coarse, dt_coarse, _, _ = _coarse_pick(ws, tie, cfg)
+    _, p_coarse, dt_coarse = _coarse_pick(ws, tie, cfg)
 
     # noncoherent refine from the coarse cell; its Fisher covariance says how
     # far from it the coherent basin can lie
@@ -985,7 +946,8 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
         near = [np.abs(ax - c) <= h for ax, c, h in zip(axes, ncp_report.ue_position, half)]
         axes = [ax[m] if m.any() else ax for ax, m in zip(axes, near)]
     fine = _mesh(axes, p_coarse[2])
-    _, fine_dtau, fine_cp = _grid_scan(ws, tie, fine, coherent=True)
+    fine_dtau = tie(fine)
+    fine_cp = _scan(ws, fine, fine_dtau, coherent=True)
 
     # refinement starts: best fine cells at least half a wavelength apart,
     # guarding against the true basin being narrowly outscored by a sidelobe
@@ -1022,7 +984,7 @@ def cp_cost_slice(obs, positions, delta_tau: float) -> np.ndarray:
     exactly as the search does.
     """
     pts = _positions(positions)
-    return _scan(_Workspace(obs), pts, np.full(len(pts), float(delta_tau)), coherent=True)[2]
+    return _scan(_Workspace(obs), pts, np.full(len(pts), float(delta_tau)), coherent=True)
 
 
 # ---------------------------------------------------------------------------

@@ -296,11 +296,6 @@ def global_fim(scenario, options: FimOptions):
     return 0.5 * (J + J.T), layout
 
 
-def _null_direction(S: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    return V[:, 0]
-
-
 def _scaled_cholesky(A: np.ndarray, name: str, first: int, singular: str):
     """Solver for ``A`` scaled to a unit diagonal, and the scale: ``solve(b)``
     applies the inverse of A / outer(scale, scale) through its Cholesky
@@ -316,24 +311,20 @@ def _scaled_cholesky(A: np.ndarray, name: str, first: int, singular: str):
 
     dg = np.diag(A)
     if np.any(dg <= 0.0):
-        k = int(np.argmin(dg))
-        e = np.zeros(A.shape[0])
-        e[k] = 1.0
-        raise SingularFim(f"{name} {first + k} carries no information", null_direction=e)
+        raise SingularFim(f"{name} {first + int(np.argmin(dg))} carries no information")
     scale = np.sqrt(dg)
     S = A / np.outer(scale, scale)
     try:
         cf = cho_factor(S, lower=True)
     except np.linalg.LinAlgError:
-        raise SingularFim(singular, null_direction=_null_direction(S)) from None
+        raise SingularFim(singular) from None
     return functools.partial(cho_solve, cf), scale
 
 
 def efim(J: np.ndarray, layout: ParamLayout) -> np.ndarray:
     """Equivalent FIM of the wanted parameters (Schur complement over nuisance).
 
-    Raises SingularFim (with a null-space direction over the nuisance block)
-    when the nuisance information is singular.
+    Raises SingularFim when the nuisance information is singular.
     """
     w = layout.wanted_dim
     Jww = J[:w, :w]

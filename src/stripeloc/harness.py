@@ -167,13 +167,6 @@ class MetricsTable:
                 return e
         raise KeyError(f"no entry for sdnr={sdnr_db} stage={stage!r}")
 
-    def ecdf(self, sdnr_db: float, stage: str, metric: str):
-        """Empirical CDF sample points: (sorted errors, cumulative fractions)."""
-        x = np.sort(np.asarray(self.stage(sdnr_db, stage).errors[metric], float))
-        if x.size == 0:
-            return x, x
-        return x, np.arange(1, x.size + 1) / x.size
-
     def rows(self) -> list:
         out = []
         for e in self.entries:

@@ -145,10 +145,6 @@ class Scenario:
         if self.transmit_power <= 0.0:
             raise SemanticError("transmit_power must be positive")
 
-    @property
-    def n_stripes(self) -> int:
-        return len(self.stripes)
-
 
 # ---------------------------------------------------------------------------
 # Sweep helpers
@@ -235,6 +231,13 @@ def _num(node: dict, key: str, parent: str, default: float | None = None) -> flo
     if default is not None and isinstance(node, dict) and key not in node:
         return default
     return _finite(_get(node, key, parent), _path(parent, key))
+
+
+def _optional(node: dict, key: str, parent: str) -> float | None:
+    """A finite numeric field that may be absent (None)."""
+    if not isinstance(node, dict):
+        raise SchemaError(f"{parent}: expected an object")
+    return _num(node, key, parent) if key in node else None
 
 
 def _int(node: dict, key: str, parent: str) -> int:
@@ -362,14 +365,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     )
 
     dmc_node = _get(cfg, "dmc", "")
-    dnr_db = None
-    if "dnr_db" in dmc_node:
-        dnr_db = _num(dmc_node, "dnr_db", "dmc")
-        alpha1 = 10.0 ** (dnr_db / 10.0) * waveform.sigma2
-    else:
-        alpha1 = _num(dmc_node, "power", "dmc")
+    dnr_db = _optional(dmc_node, "dnr_db", "dmc")
     dmc = DmcParams(
-        alpha1=alpha1,
+        alpha1=_num(dmc_node, "power", "dmc") if dnr_db is None else 0.0,
         beta_d=_num(dmc_node, "coherence_bandwidth", "dmc"),
         tau_d=_num(dmc_node, "onset_time", "dmc"),
     )
@@ -384,14 +382,11 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         raise SchemaError("dimensions: expected 2 or 3")
 
     power = _get(cfg, "power", "")
-    sdnr_db = None
-    if "sdnr_db" in power:
-        sdnr_db = _num(power, "sdnr_db", "power")
-        pt = 1.0  # provisional; solved against the target below
-    else:
-        pt = _num(power, "transmit_power_w", "power")
+    sdnr_db = _optional(power, "sdnr_db", "power")
+    pt = _num(power, "transmit_power_w", "power") if sdnr_db is None else 1.0
 
-    scenario = Scenario(
+    # beside a dB target the absolute level is a placeholder, which retune solves
+    return retune(Scenario(
         walls=walls,
         stripes=stripes,
         materials=materials,
@@ -408,12 +403,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         D=dims,
         dnr_db=dnr_db,
         sdnr_db=sdnr_db,
-    )
-    if sdnr_db is not None:
-        scenario = dataclasses.replace(
-            scenario, transmit_power=pt_for_sdnr(sdnr_db, scenario)
-        )
-    return scenario
+    ))
 
 
 def _bundled(name: str) -> Scenario:

@@ -116,14 +116,6 @@ def kron_rows(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (u[..., :, None] * a[..., None, :]).reshape(*u.shape[:-1], -1)
 
 
-def response(theta, tau, waveform: Waveform, stripe: Stripe) -> np.ndarray:
-    """Angular-delay response c = (b(tau) * s) kron a(theta), length M*K;
-    batched like :func:`whitened_response_parts`."""
-    a = steering_spatial(theta, stripe.num_antennas, stripe.spacing, waveform.wavelength)
-    b = steering_frequency(tau, waveform.K, waveform.delta_f)
-    return kron_rows(b * waveform.pilots, a)
-
-
 def whitened_response_parts(
     theta,
     tau,

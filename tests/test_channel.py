@@ -26,6 +26,7 @@ from stripeloc.channel import (
     sp_amplitude,
 )
 from stripeloc.geometry import PathGeometry, PathKind, Stripe, Wall, enumerate_paths
+from stripeloc.scenario import canonical_scenario
 from stripeloc.signal import BOLTZMANN, Waveform
 
 import oracles
@@ -175,8 +176,12 @@ def test_sp_amplitude_distance_product():
 
 
 def test_sp_optical_region_canonical():
-    assert Scatterer((0, 0, 0), 0.1956).in_optical_region(LAM)
-    assert 2 * math.pi * 0.1956 / LAM > 10
+    # Scatterer.rcs is the optical-region cross section pi r^2, which holds
+    # for spheres large against the wavelength: 2 pi r / lambda > 10
+    scatterers = canonical_scenario().scatterers
+    assert scatterers
+    for s in scatterers:
+        assert 2 * math.pi * s.radius / LAM > 10
 
 
 def test_amplitudes_translation_invariant():
@@ -310,7 +315,7 @@ def test_structured_whitener_equals_dense_inv_sqrt():
     sigma2 = 0.7
     cov = disturbance_covariance(dmc, sigma2, s, K, M)
     W_dense = oracles.hermitian_inv_sqrt(cov.dense())
-    assert_allclose(cov.dense_whitener(), W_dense, atol=1e-10)
+    assert_allclose(np.kron(cov.q_isqrt, np.eye(M)), W_dense, atol=1e-10)
     y = rng.standard_normal(M * K) + 1j * rng.standard_normal(M * K)
     assert_allclose(cov.whiten_vec(y), W_dense @ y, atol=1e-10)
     Y = y.reshape(K, M).T
@@ -329,7 +334,7 @@ def test_whitener_inverts_covariance():
     s = rng.standard_normal(K) + 1j * rng.standard_normal(K)
     s = s / np.linalg.norm(s)
     cov = disturbance_covariance(DmcParams(2.0, 0.4, 0.6), 0.9, s, K, M)
-    W = cov.dense_whitener()
+    W = np.kron(cov.q_isqrt, np.eye(M))
     R = cov.dense()
     assert np.linalg.norm(W @ R @ W.conj().T - np.eye(M * K)) / (M * K) < 1e-8
     assert np.linalg.norm(W.conj().T @ W @ R - np.eye(M * K)) / (M * K) < 1e-8

@@ -42,7 +42,7 @@ def test_parse_value_list_rejects(bad):
 
 
 def test_resolve_scenario_bundled_names():
-    assert resolve_scenario("canonical").n_stripes == 4
+    assert len(resolve_scenario("canonical").stripes) == 4
     assert resolve_scenario("estimation").waveform.K == 20
 
 

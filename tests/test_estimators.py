@@ -33,7 +33,6 @@ from stripeloc.errors import (
     ZeroAggregate,
 )
 from stripeloc.estimators import (
-    BasisMatrix,
     EstimateReport,
     NstConfig,
     SearchConfig,
@@ -42,7 +41,6 @@ from stripeloc.estimators import (
     cp_cost_slice,
     estimate_phase_offset,
     jml_amplitudes,
-    jml_basis,
     jml_cost,
     jml_refine,
     nst_kernels,
@@ -58,7 +56,9 @@ from stripeloc.geometry import (
     Stripe,
     aoa,
     enumerate_paths,
+    mirror_ue,
     path_delay,
+    reflecting_walls,
     wrap_angle,
 )
 from stripeloc.harness import multipath_case
@@ -154,6 +154,32 @@ def oracle_columns(scenario, obs, n, kinds=("los", "rp", "sp")) -> list:
     return cols
 
 
+def oracle_basis(eta, obs, n) -> np.ndarray:
+    """Stripe ``n``'s explicit model basis at the wanted parameters ``eta``:
+    the LoS column rotated to its pinned carrier phase (a real coefficient),
+    then a (c', jc') pair per reflected and scattered path, in
+    ``enumerate_paths`` order, each from the scalar signal layer.  The
+    reflections are taken from mirror images, which stay defined with
+    ``eta`` on a wall plane, where a reflection point does not."""
+    sc = obs.scenario
+    stripe = sc.stripes[n]
+    p, p_rs = eta.position, stripe.phase_center
+    images = [mirror_ue(p, sc.walls[w]) for w in reflecting_walls(sc.walls, stripe)]
+    legs = [(p, p)] + [(q, q) for q in images] + [(p, s) for s in eta.sp_positions]
+    cols = []
+    for start, via in legs:
+        u, a = whitened_response_parts(aoa(via, stripe),
+                                       path_delay(start, via, p_rs) + eta.clock_offset,
+                                       sc.waveform, stripe, obs.disturbances[n])
+        cols.append(np.kron(u, a))
+    pin = np.exp(1j * (eta.phase_offset - 2.0 * math.pi * sc.waveform.fc * path_delay(p, p, p_rs)))
+    return np.column_stack([pin * cols[0]] + [c * f for c in cols[1:] for f in (1.0, 1j)])
+
+
+def stacked_real(B) -> np.ndarray:
+    return np.vstack([B.real, B.imag])
+
+
 @pytest.fixture(scope="module")
 def est_scene():
     return estimation_scenario()
@@ -241,43 +267,8 @@ def test_path_geometry_matches_enumerate_paths(scene, n_sp):
 
 
 # ---------------------------------------------------------------------------
-# basis construction and closed-form amplitudes
+# closed-form amplitudes
 # ---------------------------------------------------------------------------
-
-
-def test_jml_basis_shape_and_stacking(est_scene, noisy_obs):
-    eta = truth_params(est_scene)
-    wf = est_scene.waveform
-    for n in range(len(est_scene.stripes)):
-        L = 1 + sum(1 for w in range(len(est_scene.walls))
-                    if w != est_scene.stripes[n].mounted_wall)
-        J = len(est_scene.scatterers)
-        B = jml_basis(eta, noisy_obs, n)
-        MK = est_scene.stripes[n].num_antennas * wf.K
-        assert B.B.shape == (MK, 2 * (L + J) - 1)
-        stacked = B.stacked_real
-        assert stacked.shape == (2 * MK, 2 * (L + J) - 1)
-        assert stacked.dtype.kind == "f"
-        assert np.array_equal(stacked[:MK], B.B.real)
-        assert np.array_equal(stacked[MK:], B.B.imag)
-
-
-def test_jml_basis_matches_signal_layer_columns(est_scene, noisy_obs):
-    # column 0 is the LoS response rotated to its carrier phase; every other
-    # path appears as a (c', jc') pair, in LoS/RP/SP enumeration order
-    eta = truth_params(est_scene)
-    n = 1
-    cols = oracle_columns(est_scene, noisy_obs, n)
-    B = jml_basis(eta, noisy_obs, n).B
-    fc = est_scene.waveform.fc
-    tau_los = enumerate_paths(est_scene, n)[0].delay
-    phase = -2.0 * math.pi * fc * tau_los + eta.phase_offset
-    np.testing.assert_allclose(
-        B[:, 0], np.exp(1j * phase) * cols[0], rtol=1e-9, atol=1e-12
-    )
-    for i, c in enumerate(cols[1:], start=1):
-        np.testing.assert_allclose(B[:, 2 * i - 1], c, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(B[:, 2 * i], 1j * c, rtol=1e-9, atol=1e-12)
 
 
 def test_jml_amplitudes_noise_free_recovery(est_scene, clean_obs):
@@ -304,9 +295,9 @@ def test_jml_amplitudes_match_stacked_real_oracle(est_scene, noisy_obs):
     for eta in (truth, off_truth):
         gains = jml_amplitudes(eta, noisy_obs)
         for n, stripe in enumerate(est_scene.stripes):
-            B = jml_basis(eta, noisy_obs, n)
-            x = oracles.stacked_real_lstsq(list(B.B.T), whitened_vec(noisy_obs, n))
-            g_oracle = np.empty((B.n_columns + 1) // 2, dtype=complex)
+            B = oracle_basis(eta, noisy_obs, n)
+            x = oracles.stacked_real_lstsq(list(B.T), whitened_vec(noisy_obs, n))
+            g_oracle = np.empty((B.shape[1] + 1) // 2, dtype=complex)
             tau_los = np.linalg.norm(eta.position - stripe.phase_center) / SPEED_OF_LIGHT
             phase = -2.0 * math.pi * fc * tau_los + eta.phase_offset
             g_oracle[0] = x[0] * np.exp(1j * phase)
@@ -324,8 +315,7 @@ def test_jml_cost_is_least_squares_infimum(est_scene, noisy_obs):
     total_ls = 0.0
     stripe_min = []
     for n in range(len(est_scene.stripes)):
-        B = jml_basis(eta, noisy_obs, n)
-        stacked = B.stacked_real
+        stacked = stacked_real(oracle_basis(eta, noisy_obs, n))
         y = whitened_vec(noisy_obs, n)
         y_st = np.concatenate([y.real, y.imag])
         x_ls, *_ = np.linalg.lstsq(stacked, y_st, rcond=None)
@@ -344,10 +334,10 @@ def _eliminated_residual(eta, obs) -> np.ndarray:
     and a generic stacked-real least-squares solve."""
     parts = []
     for n in range(len(obs)):
-        B = jml_basis(eta, obs, n)
+        B = oracle_basis(eta, obs, n)
         y = whitened_vec(obs, n)
-        x = oracles.stacked_real_lstsq(list(B.B.T), y)
-        parts.append(np.concatenate([y.real, y.imag]) - B.stacked_real @ x)
+        x = oracles.stacked_real_lstsq(list(B.T), y)
+        parts.append(np.concatenate([y.real, y.imag]) - stacked_real(B) @ x)
     return np.concatenate(parts)
 
 
@@ -711,6 +701,18 @@ def test_rml_position_search_empty_grid(est_scene, clean_obs):
         rml_position_search(clean_obs, cfg)
 
 
+@pytest.mark.parametrize("D, box", [(3, ((1.9, 4.2), (1.7, 4.0))),
+                                    (2, ((1.9, 4.2), (1.7, 4.0), (0.5, 1.5)))])
+def test_search_box_needs_one_pair_per_axis(est_scene, D, box):
+    # two pairs on a 3-D scene ended in a TypeError deep in the scan (the
+    # grid sat at the known height, None in 3-D), and a third pair on a 2-D
+    # scene was dropped unread
+    obs = synthesize(dataclasses.replace(est_scene, D=D), rng_seed=0)
+    message = rf"^search box has {len(box)} \(lo, hi\) pairs; D = {D} needs {D}$"
+    with pytest.raises(ValueError, match=message):
+        rml_position_search(obs, SearchConfig(box=box))
+
+
 @pytest.mark.parametrize("sdnr_db", [0.0, 20.0])
 def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
     # the coarse scan scores a decimated sub-lattice plus a full-resolution
@@ -733,17 +735,17 @@ def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
 
 def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs, monkeypatch):
     # _scan scores candidates in chunks of _CHUNK; over one and a half
-    # chunks its per-point costs and phases equal a single unchunked fit
+    # chunks its per-point costs equal a single unchunked fit
     ws = estimators._Workspace(noisy_obs)
     n = 3 * estimators._CHUNK // 2
     rng = np.random.default_rng(12)
     pts = est_scene.ue_position + rng.uniform(-0.4, 0.4, (n, 3)) * [1.0, 1.0, 0.0]
     dtaus = est_scene.clock_offset + rng.uniform(-2e-9, 2e-9, n)
-    ncp, dphi, cp = estimators._scan(ws, pts, dtaus, coherent=True)
     xi_sum, fits = estimators._ncp_fits(ws, pts, dtaus)
-    np.testing.assert_array_equal(ncp, estimators._ncp_cost(ws, fits))
-    np.testing.assert_array_equal(dphi, np.angle(xi_sum))
-    np.testing.assert_array_equal(cp, estimators._pinned_costs(ws, fits, dphi))
+    np.testing.assert_array_equal(estimators._scan(ws, pts, dtaus),
+                                  estimators._ncp_cost(ws, fits))
+    np.testing.assert_array_equal(estimators._scan(ws, pts, dtaus, coherent=True),
+                                  estimators._pinned_costs(ws, fits, np.angle(xi_sum)))
     # the NST dip metric scores scatterer candidates in the same chunks; over
     # one and a half chunks its costs equal one unchunked call
     sps = est_scene.ue_position + rng.uniform(-1.5, 1.5, (n, 3))
@@ -840,10 +842,9 @@ def test_scans_do_not_depend_on_chunk_size(mix, monkeypatch):
 
     def scores():
         coherent = estimators._scan(ws, pts, dtaus, coherent=True)
-        ncp, dphi, none = estimators._scan(ws, pts, dtaus)
-        assert none is None
+        ncp = estimators._scan(ws, pts, dtaus)
         dips = estimators._dip_costs(ws, sc.ue_position, sc.clock_offset, sps)
-        return [a.tobytes() for a in (*coherent, ncp, dphi, dips)]
+        return [a.tobytes() for a in (coherent, ncp, dips)]
 
     default = scores()
     monkeypatch.setattr(estimators, "_CHUNK", 7)
@@ -1103,6 +1104,14 @@ def test_nst_single_scatterer_noise_free(est_scene, clean_obs):
     assert len(sps) == 1
     err = np.linalg.norm(sps[0] - est_scene.scatterers[0].position)
     assert err < 0.25  # one grid step
+
+
+def test_nst_refuses_too_few_separated_dips():
+    # a 10 m step leaves one grid candidate for canonical's two scatterers
+    sc = canonical_scenario()
+    obs = synthesize(sc, rng_seed=0)
+    with pytest.raises(SearchFailure, match="^found only 1 separated dips for 2 scatterers$"):
+        nst_map_scatterers(obs, sc.ue_position, sc.clock_offset, 0.0, NstConfig(step=10.0))
 
 
 def test_nst_zero_scatterers_shortcut(est_scene):

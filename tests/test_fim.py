@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stripeloc.errors import DegenerateGeometry
+from stripeloc.errors import DegenerateGeometry, SingularFim
 from stripeloc.fim import (
     BoundsReport,
     FimOptions,
@@ -255,6 +255,26 @@ def test_d3_no_tighter_than_d2():
         d2 = compute_bounds(sc, FimOptions(sync_mode=SyncMode.CP, D=2))
         d3 = compute_bounds(sc, FimOptions(sync_mode=SyncMode.CP, D=3))
         assert d3.peb >= d2.peb * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("stage", ["efim", "bounds"])
+@pytest.mark.parametrize("defect", ["zero-diagonal", "singular-block"])
+def test_singular_information_is_refused(stage, defect):
+    # efim factors the nuisance block of J, bounds the whole EFIM; an entry
+    # with no information is named by its parameter index, and a block that
+    # fails to factor is refused as a whole
+    layout = make_layout(canonical_scenario(), FimOptions(sync_mode=SyncMode.CP, D=2))
+    w = layout.wanted_dim
+    A = np.eye(layout.dim if stage == "efim" else w)
+    k = w + 2 if stage == "efim" else 2
+    if defect == "zero-diagonal":
+        A[k, k] = 0.0
+        message = f"{'nuisance' if stage == 'efim' else 'wanted'} parameter {k} carries no information"
+    else:
+        A[k : k + 2, k : k + 2] = 1.0
+        message = ("nuisance information block" if stage == "efim" else "equivalent FIM") + " is singular"
+    with pytest.raises(SingularFim, match=f"^{message}$"):
+        efim(A, layout) if stage == "efim" else bounds(A, layout)
 
 
 def test_underdetermined_scene_degrades_to_inf():

@@ -1,5 +1,6 @@
 """Checks of the package's imports: every module reads each name it imports,
-and importing the package loads numpy and the standard library only."""
+package code reads or re-exports each name a module defines, and importing
+the package loads numpy and the standard library only."""
 
 from __future__ import annotations
 
@@ -47,6 +48,53 @@ def test_package_modules_have_no_unused_imports():
     unused = [f"{p.name}:{line} {name}"
               for p in modules for line, name in unused_imports(p.read_text())]
     assert unused == []
+
+
+def unread_definitions(sources: dict) -> list:
+    """``module.name`` of every top-level function, class and constant of the
+    modules ``sources`` (module name -> source) that no module reads, as a
+    name or an attribute, and that ``__init__`` does not re-export.  Names
+    are matched across modules by spelling alone."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif module == "__init__" and isinstance(node, ast.ImportFrom):
+                read.update(alias.asname or alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            unread += [f"{module}.{name}" for name in names if name not in read]
+    return sorted(unread)
+
+
+def test_unread_definitions_are_found():
+    sources = {
+        "__init__": "from .a import shown\n",
+        "a": "LIMIT = 3\n_SPARE = 4\ndef shown(): return helper()\ndef helper(): return LIMIT\n"
+             "def dead(): pass\nclass Dead: pass\n",
+        "b": "from . import a\nx = a.helper\n",
+    }
+    assert unread_definitions(sources) == ["a.Dead", "a._SPARE", "a.dead", "b.x"]
+
+
+def test_package_defines_nothing_unread():
+    # what only the tests read belongs in the tests
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources) == []
 
 
 _IMPORT_SET = """

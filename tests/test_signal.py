@@ -21,7 +21,6 @@ from stripeloc.signal import (
     noise_free_matrix,
     path_gains,
     pt_for_sdnr,
-    response,
     sdnr_db,
     steering_frequency,
     steering_spatial,
@@ -114,38 +113,37 @@ def test_steering_derivatives_match_fd():
 # ---------------------------------------------------------------------------
 
 
-def test_response_uniform_case():
-    scene = toy_scene(n_stripes=1, M=3, K=4)
+def white_noise_response(scene):
+    """Map (theta, tau) -> the unwhitened response of the scene's first
+    stripe: with the DMC off the whitener is sqrt(K / sigma^2) I."""
+    scene.dmc = type(scene.dmc)(0.0, scene.dmc.beta_d, scene.dmc.tau_d)
+    dist = make_disturbances(scene)[0]
     wf = scene.waveform
-    c = response(0.0, 0.0, wf, scene.stripes[0])
-    assert_allclose(c, np.full(12, 1 / 2.0))  # 1/sqrt(K), K=4
+    scale = math.sqrt(wf.sigma2 / wf.K)
+    return lambda theta, tau: scale * whitened_response(theta, tau, wf, scene.stripes[0], dist)
+
+
+def test_response_uniform_case():
+    response = white_noise_response(toy_scene(n_stripes=1, M=3, K=4))
+    assert_allclose(response(0.0, 0.0), np.full(12, 1 / 2.0), rtol=1e-10)  # 1/sqrt(K), K=4
 
 
 def test_response_norm_and_oracle():
     scene = toy_scene(n_stripes=1, M=5, K=7)
     wf = scene.waveform
     stripe = scene.stripes[0]
+    response = white_noise_response(scene)
     rng = np.random.default_rng(2)
     for _ in range(10):
         theta = rng.uniform(-1.2, 1.2)
         tau = rng.uniform(0, 60e-9)
-        c = response(theta, tau, wf, stripe)
+        c = response(theta, tau)
         assert np.isclose(np.vdot(c, c).real, stripe.num_antennas)
         want = oracles.response_by_loop(
             theta, tau, wf.pilots, stripe.num_antennas, wf.K, stripe.spacing,
             wf.wavelength, wf.delta_f,
         )
-        assert_allclose(c, want, atol=1e-13)
-
-
-def test_whitened_response_white_noise():
-    scene = toy_scene(n_stripes=1, M=3, K=5)
-    scene.dmc = type(scene.dmc)(0.0, scene.dmc.beta_d, scene.dmc.tau_d)
-    dist = make_disturbances(scene)[0]
-    wf = scene.waveform
-    c = response(0.3, 2e-9, wf, scene.stripes[0])
-    cw = whitened_response(0.3, 2e-9, wf, scene.stripes[0], dist)
-    assert_allclose(cw, math.sqrt(wf.K / wf.sigma2) * c, rtol=1e-10)
+        assert_allclose(c, want, rtol=1e-10, atol=1e-13)
 
 
 def test_whitened_response_parts_consistent():
@@ -155,23 +153,23 @@ def test_whitened_response_parts_consistent():
     u, a = whitened_response_parts(0.5, 8e-9, wf, scene.stripes[0], dist)
     assert_allclose(np.kron(u, a), whitened_response(0.5, 8e-9, wf, scene.stripes[0], dist))
     # and equals the dense whitener applied to the raw response
-    W = dist.dense_whitener()
-    assert_allclose(np.kron(u, a), W @ response(0.5, 8e-9, wf, scene.stripes[0]), atol=1e-12)
+    W = np.kron(dist.q_isqrt, np.eye(4))
+    c = oracles.response_by_loop(0.5, 8e-9, wf.pilots, 4, wf.K, scene.stripes[0].spacing,
+                                 wf.wavelength, wf.delta_f)
+    assert_allclose(np.kron(u, a), W @ c, atol=1e-12)
     # batched angles and delays give per-element factors bit for bit
     rng = np.random.default_rng(6)
     thetas = rng.uniform(-1.5, 1.5, (4, 3))
     taus = rng.uniform(0.0, 80e-9, (4, 3))
     ub, ab = whitened_response_parts(thetas, taus, wf, scene.stripes[0], dist)
     assert ub.shape == (4, 3, wf.K) and ab.shape == (4, 3, 4)
-    cb = response(thetas, taus, wf, scene.stripes[0])
     cwb = whitened_response(thetas, taus, wf, scene.stripes[0], dist)
-    assert cb.shape == cwb.shape == (4, 3, 4 * wf.K)
+    assert cwb.shape == (4, 3, 4 * wf.K)
     for i, j in np.ndindex(thetas.shape):
         th, ta = float(thetas[i, j]), float(taus[i, j])
         ui, ai = whitened_response_parts(th, ta, wf, scene.stripes[0], dist)
         np.testing.assert_array_equal(ub[i, j], ui)
         np.testing.assert_array_equal(ab[i, j], ai)
-        np.testing.assert_array_equal(cb[i, j], response(th, ta, wf, scene.stripes[0]))
         np.testing.assert_array_equal(
             cwb[i, j], whitened_response(th, ta, wf, scene.stripes[0], dist)
         )
