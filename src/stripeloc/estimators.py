@@ -57,6 +57,13 @@ _RANK_RTOL = 1e-10
 _CHUNK = 1024
 # every search grid keeps this far (m) inside the walls or the given box
 _WALL_MARGIN = 0.3
+# samples per narrowest noncoherent lobe (``_decimation``) of the coarse
+# scan's sub-lattice, and of the fine pass's, whose slow parts are upsampled
+# (``_fine_costs``): on 120 draws from 0 to 30 dB the upsampled costs chose
+# the exact scan's starts at 20 and 30 per lobe, and a different losing
+# start on 3 draws at 10
+_COARSE_SAMPLES = 4
+_FINE_SAMPLES = 30
 # z extent of the 3-D position grid when no box is given
 _Z_RANGE = (0.3, 2.2)
 # scatterer grid: this z extent, and picked dips at least this many grid
@@ -213,7 +220,8 @@ def _certified_inverse_factors(H):
 
 def _solve_psd(H, rhs):
     """Minimum-norm solve x = H^+ rhs of batched Hermitian PSD systems, and
-    the column v = H^-1 e_0 (``_pinned_costs``).  Returns (x, v, rank).
+    the column v = H^-1 e_0 (``_pinned_costs``).  Returns (x, v, rank,
+    certified).
 
     Each member is factored H = L L^H and certified when 1/||L^-1||_F^2 >
     _RANK_RTOL tr H: since ||L^-1||_F^2 = tr H^-1, that proves its smallest
@@ -233,7 +241,8 @@ def _solve_psd(H, rhs):
     fallback = ~ok
     if fallback.any():
         x[fallback], v[fallback], rank[fallback] = _eigh_solve(H[fallback], rhs[fallback])
-    return x.reshape(shape[:-1]), v.reshape(shape[:-1]), rank.reshape(shape[:-2])
+    return (x.reshape(shape[:-1]), v.reshape(shape[:-1]), rank.reshape(shape[:-2]),
+            ok.reshape(shape[:-2]))
 
 
 def _eigh_solve(H, rhs):
@@ -383,9 +392,15 @@ class SearchConfig:
     error is mostly bias from the scatterers it leaves out, so the window
     cannot shrink with the noise), or all of them when the covariance is
     unusable (the refine kept its start, or 2 J^T J is singular or not
-    finite).  The coherent residual is then refined from the ``n_starts``
-    best fine cells at least half a wavelength apart, as one batch.  Every
-    refine takes at most ``refine_maxiter`` solver steps.
+    finite).  Only the pin of the direct path's phase ripples at the
+    wavelength, so the fine points' free-gain costs, direct-path gains and
+    pinning terms are fitted on a sub-lattice of about 30 samples per
+    narrowest lobe and upsampled, the pin computed at every point (every
+    point is fitted when a wall plane meets the lattice, or a sub-lattice
+    fit is not certified full-rank).  The coherent residual is then refined
+    from the ``n_starts`` best fine cells at least half a wavelength apart,
+    as one batch, the best of them scored exactly.  Every refine takes at
+    most ``refine_maxiter`` solver steps.
     """
 
     step: Optional[float] = None
@@ -460,11 +475,11 @@ def _box_axes(ws: _Workspace, step: float, box, z_range) -> list:
     return axes
 
 
-def _decimation(ws: _Workspace, axes, step: float) -> int:
-    """Stride k of the coarse scan's sub-lattice over the ``step`` lattice
-    ``axes``: the narrowest noncoherent lobe over the grid, the smaller of the
-    delay resolution c/B and each stripe's angular lobe lambda r / (M d) at
-    its closest approach r to the grid, is sampled at least 4 times."""
+def _decimation(ws: _Workspace, axes, step: float, samples: int = _COARSE_SAMPLES) -> int:
+    """Stride k of a sub-lattice over the ``step`` lattice ``axes``: the
+    narrowest noncoherent lobe over the grid, the smaller of the delay
+    resolution c/B and each stripe's angular lobe lambda r / (M d) at its
+    closest approach r to the grid, is sampled at least ``samples`` times."""
     wf = ws.waveform
     centers = np.array([s.phase_center for s in ws.stripes])
     near = centers.copy()
@@ -476,7 +491,7 @@ def _decimation(ws: _Workspace, axes, step: float) -> int:
     apertures = np.array([s.num_antennas * s.spacing for s in ws.stripes])
     lobes = wf.wavelength * np.linalg.norm(near - centers, axis=1) / apertures
     width = min(SPEED_OF_LIGHT / wf.bandwidth, float(lobes.min()))
-    return max(1, int(width // (4.0 * step)))
+    return max(1, int(width // (samples * step)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +545,8 @@ class _StripeFit(NamedTuple):
     """The free-gain fit of one group's stripes at batched candidates
     (``_ncp_fits``), stripe axis first: Gram ``H``, cross ``q``, geometric
     LoS delay, the factors ``u``/``a`` when kept, the gains H^+ q, v = H^-1
-    e_0 (``_solve_psd``), which ``_pinned_costs`` needs, and the rank of H."""
+    e_0 (``_solve_psd``), which ``_pinned_costs`` needs, the rank of H and
+    whether its Cholesky solve was certified full-rank."""
 
     H: np.ndarray
     q: np.ndarray
@@ -540,6 +556,7 @@ class _StripeFit(NamedTuple):
     gains: np.ndarray
     v: np.ndarray
     rank: np.ndarray
+    certified: np.ndarray
 
 
 def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool = False):
@@ -558,24 +575,35 @@ def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool =
     fits keep their response factors u and a, all stripes at once, so that
     is meant for a handful of candidates, not a scan chunk.
     """
-    fc = ws.waveform.fc
     images = _mirror_images(ws, positions)
-    xi, fits = [], []
+    fits = []
     for g in ws.groups:
         u, a, tau_los = _stripe_model(ws, g, positions, dtaus, sp_positions, images)
         H, q = _gram_cross(u, a, g.zt)
-        gains, v, rank = _solve_psd(H, q)
-        xi.append(gains[..., 0] * np.exp(1j * _TWO_PI * fc * tau_los))
         factors = (u, a) if exact else (None, None)
-        fits.append(_StripeFit(H, q, tau_los, *factors, gains, v, rank))
-    return _stripe_sum(xi), fits
+        fits.append(_StripeFit(H, q, tau_los, *factors, *_solve_psd(H, q)))
+    return _los_sum(ws, [f.gains[..., 0] for f in fits], [f.tau_los for f in fits]), fits
+
+
+def _los_sum(ws: _Workspace, g0, tau_los) -> np.ndarray:
+    """Sum over stripes of the LoS gains ``g0`` derotated by their geometric
+    carrier phases, from per-group (S, B) gains and LoS delays: it points
+    along the common phase offset."""
+    fc = ws.waveform.fc
+    return _stripe_sum([g * np.exp(1j * _TWO_PI * fc * t) for g, t in zip(g0, tau_los)])
+
+
+def _free_costs(ws: _Workspace, fits) -> list:
+    """Each group's per-stripe free-gain costs (S, B) of ``_ncp_fits`` fits:
+    ||y'||^2 minus the explained energy Re{q^H x}, not floored."""
+    return [g.ynorm2 - np.real(np.einsum("...l,...l->...", f.q.conj(), f.gains))
+            for g, f in zip(ws.groups, fits)]
 
 
 def _ncp_cost(ws: _Workspace, fits) -> np.ndarray:
-    """Noncoherent cost of ``_ncp_fits`` fits: per stripe, ||y'||^2 minus the
-    explained energy Re{q^H x} (floored at zero), summed over stripes."""
-    explained = [np.real(np.einsum("...l,...l->...", f.q.conj(), f.gains)) for f in fits]
-    return _stripe_sum([np.maximum(g.ynorm2 - e, 0.0) for g, e in zip(ws.groups, explained)])
+    """Noncoherent cost of ``_ncp_fits`` fits: the free-gain costs floored at
+    zero, summed over stripes."""
+    return _stripe_sum([np.maximum(c, 0.0) for c in _free_costs(ws, fits)])
 
 
 def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
@@ -592,21 +620,41 @@ def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
     On a wall plane the LoS column equals that wall's reflection, the pin
     constrains nothing, and ``_solve_psd``'s v makes the rise vanish and
     moves the gains along the null direction.  Returns the cost, ||y'||^2
-    minus the explained energy summed over stripes, or with ``exact`` each
-    group's path gains (S, B, L), for ``_residuals`` of the fits.
+    minus the explained energy summed over stripes (``_coherent_cost``), or
+    with ``exact`` each group's path gains (S, B, L), for ``_residuals`` of
+    the fits.
     """
-    fc = ws.waveform.fc
+    if not exact:
+        return _coherent_cost(ws, _free_costs(ws, fits), [f.gains[..., 0] for f in fits],
+                              [np.real(f.v[..., 0]) for f in fits], [f.tau_los for f in fits],
+                              dphi)
+    gains = []
+    for fit in fits:
+        pin, off = _pin(ws, fit.gains[..., 0], fit.tau_los, dphi)
+        gains.append(fit.gains - (1j * pin * off / np.real(fit.v[..., 0]))[..., None] * fit.v)
+    return gains
+
+
+def _pin(ws: _Workspace, g0, tau_los, dphi):
+    """The pin e^{j psi}, psi = ``dphi`` minus the geometric carrier phase
+    2 pi f_c ``tau_los``, and the LoS gain's offset Im{e^{-j psi} g_0} from it."""
+    pin = np.exp(1j * (dphi - _TWO_PI * ws.waveform.fc * tau_los))
+    return pin, np.imag(g0 * pin.conj())
+
+
+def _coherent_cost(ws: _Workspace, free, g0, v0, tau_los, dphi=None) -> np.ndarray:
+    """Pinned-phase cost summed over stripes, from each group's free-gain
+    parts (S, B): the free cost (``_free_costs``), LoS gain g_0, v_0 and
+    geometric LoS delay.  Per stripe it is the free cost plus
+    Im{e^{-j psi} g_0}^2 / v_0, floored at zero (``_pinned_costs``), at the
+    phase offsets ``dphi`` (B,), by default their closed-form estimate, the
+    phase of the derotated LoS sum."""
+    if dphi is None:
+        dphi = np.angle(_los_sum(ws, g0, tau_los))
     terms = []
-    for g, fit in zip(ws.groups, fits):
-        pin = np.exp(1j * (dphi - _TWO_PI * fc * fit.tau_los))
-        off = np.imag(fit.gains[..., 0] * pin.conj())
-        v0 = np.real(fit.v[..., 0])
-        if exact:
-            terms.append(fit.gains - (1j * pin * off / v0)[..., None] * fit.v)
-        else:
-            explained = np.real(np.einsum("...l,...l->...", fit.q.conj(), fit.gains))
-            terms.append(np.maximum(g.ynorm2 - explained + off**2 / v0, 0.0))
-    return terms if exact else _stripe_sum(terms)
+    for c, g, v, t in zip(free, g0, v0, tau_los):
+        terms.append(np.maximum(c + _pin(ws, g, t, dphi)[1] ** 2 / v, 0.0))
+    return _stripe_sum(terms)
 
 
 def _point_fit(ws: _Workspace, p, delta_tau, sp_positions=None, dphi=None,
@@ -810,6 +858,13 @@ def _separated_minima(points, costs, min_sep: float, count: int) -> list:
     return picked
 
 
+def _chunks(ws: _Workspace, n: int):
+    """Slices of ``n`` candidates into scan chunks of ``_CHUNK`` (candidate,
+    stripe) rows, ``_CHUNK // N`` candidates each."""
+    size = max(1, _CHUNK // len(ws.stripes))
+    return [slice(start, start + size) for start in range(0, n, size)]
+
+
 def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False) -> np.ndarray:
     """``_ncp_fits`` over many candidates in chunks of ``_CHUNK`` (candidate,
     stripe) rows: ``_CHUNK // N`` candidates, every stripe's at once.
@@ -820,9 +875,7 @@ def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False) -> np.ndarra
     derotated LoS sum.
     """
     costs = []
-    size = max(1, _CHUNK // len(ws.stripes))
-    for start in range(0, len(positions), size):
-        chunk = slice(start, start + size)
+    for chunk in _chunks(ws, len(positions)):
         xi_sum, fits = _ncp_fits(ws, positions[chunk], dtaus[chunk])
         costs.append(_pinned_costs(ws, fits, np.angle(xi_sum)) if coherent
                      else _ncp_cost(ws, fits))
@@ -860,6 +913,81 @@ def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
         near = [ax[max(0, k * j - k) : k * j + k + 1] for ax, j in zip(axes, cell)]
         best = min(best, pick(near)[0], key=lambda b: b[0])
     return best
+
+
+def _cubic_upsampling(n: int, k: int) -> np.ndarray:
+    """Weights (n, J) that upsample values at every k-th of n lattice points,
+    from one node before the first point to one at or beyond the last plus
+    one more, onto the n points by Keys' (1981) cubic convolution (a = -1/2):
+    node values reappear at the nodes, and quadratics are reproduced."""
+    m = max(1, -(-(n - 1) // k))  # the first node at or beyond the last point
+    t = np.arange(n) / k
+    base = np.minimum(np.floor(t), m - 1)
+    f = (t - base)[:, None]
+    taps = np.hstack([((2.0 - f) * f - 1.0) * f, (3.0 * f - 5.0) * f * f + 2.0,
+                      ((4.0 - 3.0 * f) * f + 1.0) * f, (f - 1.0) * f * f]) / 2.0
+    W = np.zeros((n, m + 3))
+    np.put_along_axis(W, base.astype(int)[:, None] + np.arange(4), taps, axis=1)
+    return W
+
+
+def _upsample(values, mats) -> np.ndarray:
+    """Values (S, J_1, ..., J_D) on a node grid, upsampled by the per-axis
+    weights ``mats`` (n_i, J_i) as matrix products, flattened to
+    (S, n_1 ... n_D) in ``_mesh`` order."""
+    for i, W in enumerate(mats, start=1):
+        values = np.moveaxis(np.tensordot(W, values, axes=(1, i)), 0, i)
+    return values.reshape(len(values), -1)
+
+
+def _crosses_wall(ws: _Workspace, points) -> bool:
+    """Whether a wall plane meets the bounding box of ``points`` (B, 3)."""
+    corners = np.array(list(itertools.product(*zip(points.min(axis=0), points.max(axis=0)))))
+    sides = [(corners - wall.point) @ wall.normal for wall in ws.walls]
+    return any(s.min() <= 0.0 <= s.max() for s in sides)
+
+
+def _fine_costs(ws: _Workspace, tie, axes, height, step: float):
+    """Points of the fine lattice spanned by ``axes`` (at ``height`` in 2-D)
+    and their coherent costs, each at the clock offset ``tie`` assigns it,
+    the phase offset in closed form.  The costs choose the refine starts.
+
+    Per stripe the coherent cost is the free-gain cost plus
+    Im{e^{-j psi} g_0}^2 / v_0 (``_coherent_cost``), and only the pin psi
+    varies on the wavelength scale: the free cost, the LoS gain g_0 and v_0
+    vary on the scale of the noncoherent lobes.  So only the sub-lattice of
+    every k-th coordinate per axis, plus one node beyond each end, is fitted
+    (k from ``_decimation`` at ``_FINE_SAMPLES`` per lobe, the clocks tied
+    at the nodes), those three parts are upsampled onto the lattice by
+    ``_cubic_upsampling`` per axis, and the LoS delays, the closed-form
+    phase offset and the pin are computed at every point.  The whole lattice
+    is scanned exactly (``_scan``) instead when the sub-lattice is not
+    smaller, when a wall plane meets the nodes' hull (there the LoS column
+    meets a reflection's and v_0 blows up), or when a node's fit is not
+    certified full-rank (``_solve_psd``).
+    """
+    fine = _mesh(axes, height)
+    k = _decimation(ws, axes, step, _FINE_SAMPLES)
+    mats = [_cubic_upsampling(len(ax), k) for ax in axes]
+    nodes = _mesh([ax[0] + k * step * np.arange(-1, W.shape[1] - 1)
+                   for ax, W in zip(axes, mats)], height)
+    if len(nodes) < len(fine) and not _crosses_wall(ws, nodes):
+        dtaus = tie(nodes)
+        parts = [[] for _ in ws.groups]  # per group and chunk: free cost, g_0, v_0, certified
+        for chunk in _chunks(ws, len(nodes)):
+            _, fits = _ncp_fits(ws, nodes[chunk], dtaus[chunk])
+            for part, c, f in zip(parts, _free_costs(ws, fits), fits):
+                part.append((c, f.gains[..., 0], np.real(f.v[..., 0]), f.certified))
+        free, g0, v0, certified = zip(*([np.concatenate(x, axis=1) for x in zip(*part)]
+                                        for part in parts))
+        if all(c.all() for c in certified):
+            grid = [W.shape[1] for W in mats]
+            free, g0, v0 = ([_upsample(x.reshape(len(x), *grid), mats) for x in part]
+                            for part in (free, g0, v0))
+            tau_los = [np.linalg.norm(fine - g.centers[:, 0], axis=-1) / SPEED_OF_LIGHT
+                       for g in ws.groups]
+            return fine, _coherent_cost(ws, free, g0, v0, tau_los)
+    return fine, _scan(ws, fine, tie(fine), coherent=True)
 
 
 def _rows(ws: _Workspace, X):
@@ -935,7 +1063,11 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     # window leaves out the lattice's best cell; the lambda/2 floor keeps
     # the bias inside at any SDNR.  The lattice is not re-centred: the
     # clock-tied coherent cost of a competing lobe can have a valley
-    # narrower than the step, and a sub-step shift changes which lobe wins
+    # narrower than the step, and a sub-step shift changes which lobe wins.
+    # The window's free-gain costs, LoS gains and v_0 are fitted on a
+    # sub-lattice and upsampled, the pin is computed at every point, and the
+    # window is scanned exactly near a wall plane or an uncertified node fit
+    # (``_fine_costs``)
     fine_step = lam / 40.0 if D == 2 else lam / 12.0
     span = cfg.fine_span_wavelengths * lam
     offsets = np.arange(-span, span + 0.5 * fine_step, fine_step)
@@ -945,19 +1077,19 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
         half = np.maximum(6.0 * sigmas[:D], 0.5 * lam)
         near = [np.abs(ax - c) <= h for ax, c, h in zip(axes, ncp_report.ue_position, half)]
         axes = [ax[m] if m.any() else ax for ax, m in zip(axes, near)]
-    fine = _mesh(axes, p_coarse[2])
-    fine_dtau = tie(fine)
-    fine_cp = _scan(ws, fine, fine_dtau, coherent=True)
+    fine, fine_cp = _fine_costs(ws, tie, axes, p_coarse[2], fine_step)
 
     # refinement starts: best fine cells at least half a wavelength apart,
-    # guarding against the true basin being narrowly outscored by a sidelobe
-    start_idx = _separated_minima(fine, fine_cp, 0.5 * lam, max(1, cfg.n_starts))
+    # guarding against the true basin being narrowly outscored by a
+    # sidelobe; the best one is scored exactly, as the RML start cost
+    starts = fine[_separated_minima(fine, fine_cp, 0.5 * lam, max(1, cfg.n_starts))]
+    start_dtau = tie(starts)
+    start_cost = float(_scan(ws, starts[:1], start_dtau[:1], coherent=True)[0])
 
     # coherent stage: local refinement of (p, dtau) from every start at once,
     # best wins
-    rml_report, _ = _refine_report(
-        "RML", ws, np.column_stack([fine[start_idx, :D], fine_dtau[start_idx]]), steps,
-        cfg.refine_maxiter, start_cost=float(fine_cp[start_idx[0]]))
+    rml_report, _ = _refine_report("RML", ws, np.column_stack([starts[:, :D], start_dtau]),
+                                   steps, cfg.refine_maxiter, start_cost=start_cost)
     return ncp_report, rml_report
 
 
@@ -1029,10 +1161,9 @@ def _dip_costs(ws: _Workspace, p_hat, delta_tau: float, cands) -> np.ndarray:
     p = np.asarray(p_hat, float).reshape(1, 3)
     dtaus = np.array([float(delta_tau)])
     images = _mirror_images(ws, p)
-    size = max(1, _CHUNK // len(ws.stripes))
     costs = []
-    for start in range(0, len(cands), size):
-        sps = cands[start : start + size]
+    for chunk in _chunks(ws, len(cands)):
+        sps = cands[chunk]
         terms = []
         ok = np.ones(len(sps), bool)
         for g in ws.groups:

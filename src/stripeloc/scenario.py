@@ -198,6 +198,9 @@ def with_sdnr(scenario: Scenario, sdnr_db: float) -> Scenario:
 # ---------------------------------------------------------------------------
 
 _NUMBER = (int, float)
+# a sphere's cross section is its optical-region pi r^2 (``Scatterer.rcs``)
+# only when it is large against the wavelength: 2 pi r / lambda above this
+_OPTICAL_KA = 10.0
 
 
 def _path(parent: str, key) -> str:
@@ -265,6 +268,17 @@ def _vec3(node: dict, key: str, parent: str) -> np.ndarray:
     return np.array([_finite(x, _path(parent, key)) for x in v])
 
 
+def _built(cls, where: str, fields: dict):
+    """``cls`` built from file fields {key: (argument, value)} of the object
+    at ``where``; a ValueError of its checks becomes a SchemaError naming the
+    field whose argument the message names."""
+    try:
+        return cls(**dict(fields.values()))
+    except ValueError as exc:
+        key = next((k for k, (arg, _) in fields.items() if arg in str(exc)), None)
+        raise SchemaError(f"{where if key is None else _path(where, key)}: {exc}") from None
+
+
 _LAMBDA_RE = re.compile(r"^lambda(?:\s*/\s*([0-9]*\.?[0-9]+))?$")
 
 
@@ -307,11 +321,11 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     materials = {}
     for mid, mnode in mats_node.items():
         where = f"materials.{mid}"
-        materials[mid] = Material(
-            eps_r=_num(mnode, "eps_r", where),
-            mu_r=_num(mnode, "mu_r", where, 1.0),
-            sigma=_num(mnode, "sigma_s_per_m", where, 0.0),
-        )
+        materials[mid] = _built(Material, where, {
+            "eps_r": ("eps_r", _num(mnode, "eps_r", where)),
+            "mu_r": ("mu_r", _num(mnode, "mu_r", where, 1.0)),
+            "sigma_s_per_m": ("sigma", _num(mnode, "sigma_s_per_m", where, 0.0)),
+        })
 
     room = _get(cfg, "room", "")
     width = _num(room, "width_m", "room")
@@ -356,21 +370,28 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     sc_node = cfg.get("scatterers", [])
     if not isinstance(sc_node, list):
         raise SchemaError("scatterers: expected a list")
-    scatterers = tuple(
-        Scatterer(
-            _vec3(s, "position_m", f"scatterers[{j}]"),
-            _num(s, "radius_m", f"scatterers[{j}]"),
-        )
-        for j, s in enumerate(sc_node)
-    )
+    scatterers = []
+    for j, s in enumerate(sc_node):
+        where = f"scatterers[{j}]"
+        scatterers.append(_built(Scatterer, where, {
+            "position_m": ("position", _vec3(s, "position_m", where)),
+            "radius_m": ("radius", _num(s, "radius_m", where)),
+        }))
+        ka = 2.0 * math.pi * scatterers[-1].radius / waveform.wavelength
+        if ka <= _OPTICAL_KA:
+            raise SchemaError(
+                f"{where}.radius_m: {scatterers[-1].radius!r} m gives 2 pi r / lambda = "
+                f"{ka:.3g}, not above {_OPTICAL_KA:g}: outside the optical region where the "
+                "cross section is pi r^2"
+            )
 
     dmc_node = _get(cfg, "dmc", "")
     dnr_db = _optional(dmc_node, "dnr_db", "dmc")
-    dmc = DmcParams(
-        alpha1=_num(dmc_node, "power", "dmc") if dnr_db is None else 0.0,
-        beta_d=_num(dmc_node, "coherence_bandwidth", "dmc"),
-        tau_d=_num(dmc_node, "onset_time", "dmc"),
-    )
+    dmc = _built(DmcParams, "dmc", {
+        "power": ("alpha1", _num(dmc_node, "power", "dmc") if dnr_db is None else 0.0),
+        "coherence_bandwidth": ("beta_d", _num(dmc_node, "coherence_bandwidth", "dmc")),
+        "onset_time": ("tau_d", _num(dmc_node, "onset_time", "dmc")),
+    })
 
     sync_raw = _get(cfg, "sync_mode", "")
     try:
@@ -393,7 +414,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         ue_position=ue_position,
         clock_offset=clock_offset,
         phase_offsets=phase_offsets,
-        scatterers=scatterers,
+        scatterers=tuple(scatterers),
         waveform=waveform,
         dmc=dmc,
         transmit_power=pt,

@@ -1017,6 +1017,141 @@ def test_fine_window_keeps_full_lattice_best_at_high_sdnr(est_scene, monkeypatch
     assert np.linalg.norm(windowed.ue_position - est_scene.ue_position) < 1e-3
 
 
+@pytest.mark.parametrize("n, k", [(40, 10), (161, 15), (25, 5), (40, 41), (1, 7)])
+def test_cubic_upsampling_keeps_nodes_and_reproduces_quadratics(n, k):
+    # node j sits at lattice index k (j - 1); at a node the weights pick its
+    # value alone, and Keys' kernel is exact on quadratics
+    W = estimators._cubic_upsampling(n, k)
+    t = k * (np.arange(W.shape[1]) - 1.0)
+    at_nodes = np.arange(0, n, k)
+    np.testing.assert_array_equal(W[at_nodes], np.eye(W.shape[1])[at_nodes // k + 1])
+    x = np.arange(n, dtype=float)
+    for c in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, -2.0, 0.7]):
+        def quadratic(s):
+            return c[0] + c[1] * s / n + c[2] * (s / n) ** 2
+        assert np.max(np.abs(W @ quadratic(t) - quadratic(x))) <= 1e-12
+
+
+def test_upsample_reproduces_quadratics_on_a_3d_lattice():
+    # one weight matrix per axis, applied as matrix products, reproduces
+    # products of quadratics on the lattice, in ``_mesh`` order, real and
+    # complex alike
+    ns, ks = (9, 12, 5), (4, 5, 2)
+    mats = [estimators._cubic_upsampling(n, k) for n, k in zip(ns, ks)]
+    nodes = estimators._mesh([k * (np.arange(W.shape[1]) - 1.0) for W, k in zip(mats, ks)], None)
+    points = estimators._mesh([np.arange(n, dtype=float) for n in ns], None)
+
+    def f(p):
+        x, y, z = (p / 10.0).T
+        return np.stack([1.0 + 0.2 * x - 0.5 * y * z + x * x * y, (0.3 - 1j) * x * z * z + 2j])
+
+    grid = [W.shape[1] for W in mats]
+    got = estimators._upsample(f(nodes).reshape(2, *grid), mats)
+    assert np.max(np.abs(got - f(points))) <= 1e-12
+
+
+def _spy_fine_pass(monkeypatch) -> list:
+    """Arguments and result of every ``_fine_costs`` call."""
+    calls = []
+    fine_costs = estimators._fine_costs
+
+    def spy(*args):
+        calls.append((args, fine_costs(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(estimators, "_fine_costs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("sdnr_db, draw", [(0.0, 0), (10.0, 1), (20.0, 2), (30.0, 3)])
+def test_fine_pass_chooses_the_exact_scans_starts(est_scene, monkeypatch, sdnr_db, draw):
+    # the fine pass upsamples the slow parts of the coherent cost from a
+    # sub-lattice (the whole +-2 lambda lattice is the window at 0 dB); it
+    # must choose the starts of the exact scan over the same window, and the
+    # RML start cost must be that scan's bits
+    obs = synthesize(with_sdnr(est_scene, sdnr_db), rng_seed=(6, draw))
+    calls = _spy_fine_pass(monkeypatch)
+    report = rml_position_search(obs)
+    [((ws, tie, axes, height, step), (fine, upsampled))] = calls
+    assert estimators._decimation(ws, axes, step, estimators._FINE_SAMPLES) > 1
+    exact = estimators._scan(ws, fine, tie(fine), coherent=True)
+    assert upsampled.tobytes() != exact.tobytes()
+    lam, count = est_scene.waveform.wavelength, SearchConfig().n_starts
+    starts = estimators._separated_minima(fine, exact, 0.5 * lam, count)
+    assert estimators._separated_minima(fine, upsampled, 0.5 * lam, count) == starts
+    assert report.cost_trace[0] == exact[starts[0]]
+
+
+def test_fine_pass_fits_few_candidates_at_low_sdnr(est_scene, monkeypatch):
+    # a count-based cost guard: at 0 dB the window is the whole +-2 lambda
+    # lattice, 25,921 cells, which the exact scan fitted one by one; the
+    # fine pass fits its sub-lattice only
+    obs = synthesize(with_sdnr(est_scene, 0.0), rng_seed=(6, 0))
+    ncp_fits, fine_costs = estimators._ncp_fits, estimators._fine_costs
+    fitted, cells = [], []
+
+    def counted(ws, positions, *args, **kwargs):
+        fitted[-1] += len(positions)
+        return ncp_fits(ws, positions, *args, **kwargs)
+
+    def fine_pass(*args):
+        fitted.append(0)
+        monkeypatch.setattr(estimators, "_ncp_fits", counted)
+        try:
+            fine, costs = fine_costs(*args)
+        finally:
+            monkeypatch.setattr(estimators, "_ncp_fits", ncp_fits)
+        cells.append(len(fine))
+        return fine, costs
+
+    monkeypatch.setattr(estimators, "_fine_costs", fine_pass)
+    rml_position_search(obs)
+    assert cells == [25921]
+    assert 0 < fitted[0] < 1000
+
+
+def test_fine_pass_scans_exactly_across_a_wall_plane(est_scene, monkeypatch):
+    # a box around the x = 0 wall puts the fine lattice across its plane,
+    # where the LoS column meets the reflection's and v_0 blows up: the pass
+    # scans the window exactly, and every start's cost is the coherent cost
+    # of ``cp_cost_slice`` there
+    obs = synthesize(with_sdnr(est_scene, 20.0), rng_seed=(6, 0))
+    calls = _spy_fine_pass(monkeypatch)
+    report = rml_position_search(obs, SearchConfig(box=((-0.35, 0.35), (2.5, 3.5))))
+    [((ws, tie, axes, height, step), (fine, costs))] = calls
+    assert axes[0][0] < 0.0 < axes[0][-1] and estimators._crosses_wall(ws, fine)
+    assert costs.tobytes() == estimators._scan(ws, fine, tie(fine), coherent=True).tobytes()
+    starts = estimators._separated_minima(fine, costs, 0.5 * est_scene.waveform.wavelength, 3)
+    for i in starts:
+        np.testing.assert_array_equal(cp_cost_slice(obs, fine[i], tie(fine[i : i + 1])[0]),
+                                      costs[i : i + 1])
+    assert report.cost_trace[0] == costs[starts[0]]
+
+
+def test_fine_pass_scans_exactly_when_a_node_fit_is_uncertified(est_scene, noisy_obs,
+                                                                monkeypatch):
+    # one node fit that ``_solve_psd`` cannot certify full-rank sends the
+    # whole window to the exact scan
+    ws = estimators._Workspace(noisy_obs)
+    tie = estimators._clock_tie(noisy_obs)
+    step = est_scene.waveform.wavelength / 40.0
+    axes = [c + step * np.arange(-20, 20) for c in est_scene.ue_position[:2]]
+    height = est_scene.ue_position[2]
+    fine, upsampled = estimators._fine_costs(ws, tie, axes, height, step)
+    exact = estimators._scan(ws, fine, tie(fine), coherent=True)
+    assert upsampled.tobytes() != exact.tobytes()
+    solve = estimators._solve_psd
+
+    def one_uncertified(H, rhs):
+        x, v, rank, certified = solve(H, rhs)
+        certified = certified.copy()
+        certified.flat[-1] = False
+        return x, v, rank, certified
+
+    monkeypatch.setattr(estimators, "_solve_psd", one_uncertified)
+    assert estimators._fine_costs(ws, tie, axes, height, step)[1].tobytes() == exact.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # null-space scatterer mapping
 # ---------------------------------------------------------------------------

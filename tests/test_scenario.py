@@ -135,10 +135,29 @@ def _set(section, key, value):
          "ue.phase_offset_rad: expected a number or list"),
         (_set("", "scatterers", {"position_m": [2.5, 3.5, 1.7], "radius_m": 0.2}), SchemaError,
          "scatterers: expected a list"),
+        # the constructors' own checks, named by the file's field
+        (lambda cfg: cfg["materials"]["concrete"].update(eps_r=0.5), SchemaError,
+         "materials.concrete.eps_r: eps_r must be >= 1"),
+        (lambda cfg: cfg["scatterers"][0].update(radius_m=-0.1), SchemaError,
+         "scatterers[0].radius_m: scatterer radius must be positive"),
+        (lambda cfg: cfg["dmc"].update(power=-1.0) or cfg["dmc"].pop("dnr_db"), SchemaError,
+         "dmc.power: alpha1 must be non-negative"),
     ],
     ids=["missing", "room-node", "dmc-node", "power-node", "materials", "room-material",
-         "placement", "sync", "phase-type", "scatterers"],
+         "placement", "sync", "phase-type", "scatterers", "material-check", "scatterer-check",
+         "dmc-check"],
 )
 def test_loader_refusals(edit, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         scenario_from_dict(_estimation_with(edit))
+
+
+@pytest.mark.parametrize("radius", [0.01, 0.136])
+def test_loader_refuses_scatterers_outside_optical_region(radius):
+    # the cross section pi r^2 holds only for 2 pi r / lambda > 10; at
+    # 3.5 GHz that is r > 0.136 m, and the bundled 0.1956 m gives 14.3
+    cfg = _estimation_with(lambda cfg: cfg["scatterers"][0].update(radius_m=radius))
+    with pytest.raises(SchemaError, match=rf"^scatterers\[0\]\.radius_m: {radius!r} m gives "
+                                          r"2 pi r / lambda = \d"):
+        scenario_from_dict(cfg)
+    assert len(scenario_from_dict(_ESTIMATION).scatterers) == 1
