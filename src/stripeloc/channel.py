@@ -212,13 +212,13 @@ def dmc_psd(dmc: DmcParams, f: np.ndarray) -> np.ndarray:
     )
 
 
-def dmc_frequency_covariance(dmc: DmcParams, K: int, delta_f: float) -> np.ndarray:
+def dmc_frequency_covariance(dmc: DmcParams, K: int) -> np.ndarray:
     """K x K Hermitian Toeplitz frequency covariance of the dense multipath.
 
     The generating sequence is the PSD sampled at normalized lags k/K,
     k = 0..K-1 (the subcarrier spacing cancels against the normalization, so
-    the result does not depend on ``delta_f``).  Entry (i, j) is kappa[i - j]
-    for i >= j and conj(kappa[j - i]) above the diagonal.
+    it does not enter).  Entry (i, j) is kappa[i - j] for i >= j and
+    conj(kappa[j - i]) above the diagonal.
     """
     kappa = dmc_psd(dmc, np.arange(K) / float(K))
     # vals[K - 1 + m] is entry (i, i - m): conj(kappa[-m]) for m < 0, kappa[m] else
@@ -254,11 +254,9 @@ class DisturbanceCov:
             raise NumericalFailure(
                 f"covariance not positive definite (min eigenvalue {w.min():.3e})"
             )
-        self.R_f = R_f
         self.Q = Q
         self.q_isqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
         self.q_sqrt = (V * np.sqrt(w)) @ V.conj().T
-        self.sigma2 = float(sigma2)
         self.M = int(M)
         self.K = K
 
@@ -300,5 +298,4 @@ def disturbance_covariance(
         raise ValueError("pilot length must equal K")
     if not math.isclose(float(np.linalg.norm(s)), 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValueError("pilots must have unit norm")
-    R_f = dmc_frequency_covariance(dmc, K, delta_f=1.0)
-    return DisturbanceCov(R_f, sigma2, s, M)
+    return DisturbanceCov(dmc_frequency_covariance(dmc, K), sigma2, s, M)

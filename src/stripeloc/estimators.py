@@ -220,7 +220,7 @@ def _certified_inverse_factors(H):
 
 def _solve_psd(H, rhs):
     """Minimum-norm solve x = H^+ rhs of batched Hermitian PSD systems, and
-    the column v = H^-1 e_0 (``_pinned_costs``).  Returns (x, v, rank,
+    the column v = H^-1 e_0 (``_pinned_gains``).  Returns (x, v, rank,
     certified).
 
     Each member is factored H = L L^H and certified when 1/||L^-1||_F^2 >
@@ -254,7 +254,7 @@ def _eigh_solve(H, rhs):
     x, which keeps least-squares residuals nonnegative when response columns
     (nearly) collide.  In v they are raised to that cutoff instead, so a
     first column inside the span of the others makes v_0 huge rather than
-    dropping it (see ``_pinned_costs``).  Returns (x, v, rank).
+    dropping it (see ``_pinned_gains``).  Returns (x, v, rank).
     """
     w, V = np.linalg.eigh(H)
     wmax = np.maximum(w[..., -1:], 0.0)
@@ -400,7 +400,8 @@ class SearchConfig:
     fit is not certified full-rank).  The coherent residual is then refined
     from the ``n_starts`` best fine cells at least half a wavelength apart,
     as one batch, the best of them scored exactly.  Every refine takes at
-    most ``refine_maxiter`` solver steps.
+    most ``refine_maxiter`` solver steps.  A ``step`` not above zero, a
+    negative span or ``refine_maxiter``, or no starts raise ValueError.
     """
 
     step: Optional[float] = None
@@ -408,6 +409,16 @@ class SearchConfig:
     refine_maxiter: int = 600
     fine_span_wavelengths: float = 2.0
     n_starts: int = 3
+
+    def __post_init__(self):
+        if self.step is not None and not self.step > 0.0:
+            raise ValueError("step must be positive")
+        if not self.fine_span_wavelengths >= 0.0:
+            raise ValueError("fine_span_wavelengths must be >= 0")
+        if self.refine_maxiter < 0:
+            raise ValueError("refine_maxiter must be >= 0")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -417,10 +428,18 @@ class NstConfig:
     ``step`` is the spacing of the 3-D grid over the room footprint (shrunk
     by 0.3 m) and z in 0.2-2.6 m; dips are picked at least three steps apart
     and refined, as one batch, by at most ``refine_maxiter`` solver steps.
+    A ``step`` not above zero or a negative ``refine_maxiter`` raise
+    ValueError.
     """
 
     step: float = 0.25
     refine_maxiter: int = 200
+
+    def __post_init__(self):
+        if not self.step > 0.0:
+            raise ValueError("step must be positive")
+        if self.refine_maxiter < 0:
+            raise ValueError("refine_maxiter must be >= 0")
 
 
 def _axis_aligned_box(ws: _Workspace) -> list:
@@ -545,8 +564,8 @@ class _StripeFit(NamedTuple):
     """The free-gain fit of one group's stripes at batched candidates
     (``_ncp_fits``), stripe axis first: Gram ``H``, cross ``q``, geometric
     LoS delay, the factors ``u``/``a`` when kept, the gains H^+ q, v = H^-1
-    e_0 (``_solve_psd``), which ``_pinned_costs`` needs, the rank of H and
-    whether its Cholesky solve was certified full-rank."""
+    e_0 (``_solve_psd``), which pinning the LoS phase needs, the rank of H
+    and whether its Cholesky solve was certified full-rank."""
 
     H: np.ndarray
     q: np.ndarray
@@ -565,15 +584,13 @@ def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool =
     Per stripe, every LoS and reflected path, and every scatterer path at
     ``sp_positions`` (passed on to ``_stripe_model``), gets a free complex
     gain (``_stripe_model`` -> ``_gram_cross`` -> ``_solve_psd``, which also
-    returns v = H^-1 e_0 for ``_pinned_costs``), one call each per group of
-    stacked stripes, which share the walls' mirror images; the
-    LoS gains, derotated by their geometric carrier phases and summed over
-    stripes, point along the common phase offset.  Returns (xi_sum, fits),
-    one fit per group.  With one scatterer per candidate, ``_ncp_cost`` of
-    the fits is the NST dip metric (``_dip_costs``, which scores it from one
-    factored LoS + reflected fit per stripe).  Only with ``exact`` do the
-    fits keep their response factors u and a, all stripes at once, so that
-    is meant for a handful of candidates, not a scan chunk.
+    returns v = H^-1 e_0 for ``_pinned_gains``), one call each per group of
+    stacked stripes, which share the walls' mirror images.  Returns one fit
+    per group.  With one scatterer per candidate, the ``_ncp_cost`` of the
+    fits is the NST dip metric (``_dip_costs``, which scores it from one factored
+    LoS + reflected fit per stripe).  Only with ``exact`` do the fits keep
+    their response factors u and a, all stripes at once, so that is meant
+    for a handful of candidates, not a scan chunk.
     """
     images = _mirror_images(ws, positions)
     fits = []
@@ -582,7 +599,7 @@ def _ncp_fits(ws: _Workspace, positions, dtaus, sp_positions=None, exact: bool =
         H, q = _gram_cross(u, a, g.zt)
         factors = (u, a) if exact else (None, None)
         fits.append(_StripeFit(H, q, tau_los, *factors, *_solve_psd(H, q)))
-    return _los_sum(ws, [f.gains[..., 0] for f in fits], [f.tau_los for f in fits]), fits
+    return fits
 
 
 def _los_sum(ws: _Workspace, g0, tau_los) -> np.ndarray:
@@ -600,34 +617,28 @@ def _free_costs(ws: _Workspace, fits) -> list:
             for g, f in zip(ws.groups, fits)]
 
 
-def _ncp_cost(ws: _Workspace, fits) -> np.ndarray:
-    """Noncoherent cost of ``_ncp_fits`` fits: the free-gain costs floored at
-    zero, summed over stripes."""
-    return _stripe_sum([np.maximum(c, 0.0) for c in _free_costs(ws, fits)])
+def _ncp_cost(free) -> np.ndarray:
+    """Noncoherent cost from each group's free-gain costs (``_free_costs``):
+    floored at zero, summed over stripes."""
+    return _stripe_sum([np.maximum(c, 0.0) for c in free])
 
 
-def _pinned_costs(ws: _Workspace, fits, dphi, exact: bool = False):
+def _pinned_gains(ws: _Workspace, fits, dphi) -> list:
     """Coherent fit: each stripe's free-gain fit with its LoS phase pinned.
 
     The pin psi is the geometric carrier phase plus the phase offset
     ``dphi``.  Pinning adds one real constraint, Im{e^{-j psi} g_0} = 0, to
     the free-gain least squares of ``_ncp_fits``, so the pinned fit is a
     rank-one correction of it and needs no solve: with v = H^-1 e_0 the cost
-    rises by Im{e^{-j psi} g_0}^2 / v_0, and the gains become
-    g - j e^{j psi} Im{e^{-j psi} g_0} v / v_0.  While the LoS column is
-    independent of the other paths' (anywhere off a wall plane) v_0 = 1/h,
-    h the LoS Schur complement, also with truncation among the other paths.
-    On a wall plane the LoS column equals that wall's reflection, the pin
-    constrains nothing, and ``_solve_psd``'s v makes the rise vanish and
-    moves the gains along the null direction.  Returns the cost, ||y'||^2
-    minus the explained energy summed over stripes (``_coherent_cost``), or
-    with ``exact`` each group's path gains (S, B, L), for ``_residuals`` of
-    the fits.
+    rises by Im{e^{-j psi} g_0}^2 / v_0 (``_coherent_cost``), and the gains
+    become g - j e^{j psi} Im{e^{-j psi} g_0} v / v_0.  While the LoS column
+    is independent of the other paths' (anywhere off a wall plane) v_0 =
+    1/h, h the LoS Schur complement, also with truncation among the other
+    paths.  On a wall plane the LoS column equals that wall's reflection,
+    the pin constrains nothing, and ``_solve_psd``'s v makes the rise vanish
+    and moves the gains along the null direction.  Returns each group's path
+    gains (S, B, L), for ``_residuals`` of the fits.
     """
-    if not exact:
-        return _coherent_cost(ws, _free_costs(ws, fits), [f.gains[..., 0] for f in fits],
-                              [np.real(f.v[..., 0]) for f in fits], [f.tau_los for f in fits],
-                              dphi)
     gains = []
     for fit in fits:
         pin, off = _pin(ws, fit.gains[..., 0], fit.tau_los, dphi)
@@ -642,15 +653,13 @@ def _pin(ws: _Workspace, g0, tau_los, dphi):
     return pin, np.imag(g0 * pin.conj())
 
 
-def _coherent_cost(ws: _Workspace, free, g0, v0, tau_los, dphi=None) -> np.ndarray:
+def _coherent_cost(ws: _Workspace, free, g0, v0, tau_los) -> np.ndarray:
     """Pinned-phase cost summed over stripes, from each group's free-gain
     parts (S, B): the free cost (``_free_costs``), LoS gain g_0, v_0 and
     geometric LoS delay.  Per stripe it is the free cost plus
-    Im{e^{-j psi} g_0}^2 / v_0, floored at zero (``_pinned_costs``), at the
-    phase offsets ``dphi`` (B,), by default their closed-form estimate, the
-    phase of the derotated LoS sum."""
-    if dphi is None:
-        dphi = np.angle(_los_sum(ws, g0, tau_los))
+    Im{e^{-j psi} g_0}^2 / v_0, floored at zero (``_pinned_gains``), at the
+    closed-form phase offset, the phase of the derotated LoS sum."""
+    dphi = np.angle(_los_sum(ws, g0, tau_los))
     terms = []
     for c, g, v, t in zip(free, g0, v0, tau_los):
         terms.append(np.maximum(c + _pin(ws, g, t, dphi)[1] ** 2 / v, 0.0))
@@ -664,19 +673,21 @@ def _point_fit(ws: _Workspace, p, delta_tau, sp_positions=None, dphi=None,
     offsets ``delta_tau`` (B,) and the scatterers ``sp_positions`` (J, 3), or
     (B, J, 3) per candidate, rank-checked when ``strict``.  With ``free``
     every path gain is free; otherwise each stripe's LoS phase is pinned
-    (``_pinned_costs``) at the phase offsets ``dphi`` (B,), or when that is
-    None at their closed-form estimate, the phase of the derotated LoS sum.
-    A single candidate may be given unbatched (p (3,), scalar offsets).
-    Returns per candidate: (residuals (B, R) of ``_residuals``, those phase
-    offsets (B,), per-stripe gains (B, L), derotated LoS sums (B,))."""
-    xi_sum, fits = _ncp_fits(ws, _positions(p), np.asarray(delta_tau, float).reshape(-1),
-                             sp_positions, exact=True)
+    (``_pinned_gains``) at the phase offsets ``dphi`` (B,), or when that is
+    None at their closed-form estimate, the phase of the derotated LoS sum
+    (``_los_sum``).  A single candidate may be given unbatched (p (3,),
+    scalar offsets).  Returns per candidate: (residuals (B, R) of
+    ``_residuals``, those phase offsets (B,), per-stripe gains (B, L),
+    derotated LoS sums (B,))."""
+    fits = _ncp_fits(ws, _positions(p), np.asarray(delta_tau, float).reshape(-1), sp_positions,
+                     exact=True)
     if strict:
         for n, (i, s) in enumerate(ws.slots):
             for H, rank in zip(fits[i].H[s], fits[i].rank[s]):
                 _require_full_rank(n, H, rank)
+    xi_sum = _los_sum(ws, [f.gains[..., 0] for f in fits], [f.tau_los for f in fits])
     dphi = np.angle(xi_sum) if dphi is None else np.asarray(dphi, float).reshape(-1)
-    gains = [fit.gains for fit in fits] if free else _pinned_costs(ws, fits, dphi, exact=True)
+    gains = [fit.gains for fit in fits] if free else _pinned_gains(ws, fits, dphi)
     return _residuals(ws, fits, gains), dphi, [gains[i][s] for i, s in ws.slots], xi_sum
 
 
@@ -865,24 +876,34 @@ def _chunks(ws: _Workspace, n: int):
     return [slice(start, start + size) for start in range(0, n, size)]
 
 
-def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False) -> np.ndarray:
+def _scan_parts(ws: _Workspace, positions, dtaus) -> tuple:
     """``_ncp_fits`` over many candidates in chunks of ``_CHUNK`` (candidate,
     stripe) rows: ``_CHUNK // N`` candidates, every stripe's at once.
 
     Candidate i is the position ``positions[i]`` with clock offset
-    ``dtaus[i]``.  Returns each candidate's noncoherent cost or, with
-    ``coherent``, its pinned-phase cost at the phase offset of its
-    derotated LoS sum.
+    ``dtaus[i]``.  Returns the free-gain parts of every candidate as per-group
+    lists of (S, B) arrays: the free costs (``_free_costs``), LoS gains g_0,
+    v_0, geometric LoS delays, and whether each fit was certified full-rank.
     """
-    costs = []
+    parts = [[] for _ in ws.groups]
     for chunk in _chunks(ws, len(positions)):
-        xi_sum, fits = _ncp_fits(ws, positions[chunk], dtaus[chunk])
-        costs.append(_pinned_costs(ws, fits, np.angle(xi_sum)) if coherent
-                     else _ncp_cost(ws, fits))
+        fits = _ncp_fits(ws, positions[chunk], dtaus[chunk])
+        for part, c, f in zip(parts, _free_costs(ws, fits), fits):
+            part.append((c, f.gains[..., 0], np.real(f.v[..., 0]), f.tau_los, f.certified))
         # ``fits`` lives on until the next chunk's replaces it: freeing it
         # here let the C allocator hand each chunk's memory back to the
         # system, and a trial took about 3 times the page faults
-    return np.concatenate(costs)
+    return tuple(zip(*([np.concatenate(x, axis=1) for x in zip(*part)] for part in parts)))
+
+
+def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False) -> np.ndarray:
+    """Each candidate's noncoherent cost (``_ncp_cost``) or, with
+    ``coherent``, its pinned-phase cost (``_coherent_cost``), from the parts
+    of ``_scan_parts``."""
+    free, g0, v0, tau_los, _ = _scan_parts(ws, positions, dtaus)
+    if coherent:
+        return _coherent_cost(ws, free, g0, v0, tau_los)
+    return _ncp_cost(free)
 
 
 def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
@@ -972,14 +993,7 @@ def _fine_costs(ws: _Workspace, tie, axes, height, step: float):
     nodes = _mesh([ax[0] + k * step * np.arange(-1, W.shape[1] - 1)
                    for ax, W in zip(axes, mats)], height)
     if len(nodes) < len(fine) and not _crosses_wall(ws, nodes):
-        dtaus = tie(nodes)
-        parts = [[] for _ in ws.groups]  # per group and chunk: free cost, g_0, v_0, certified
-        for chunk in _chunks(ws, len(nodes)):
-            _, fits = _ncp_fits(ws, nodes[chunk], dtaus[chunk])
-            for part, c, f in zip(parts, _free_costs(ws, fits), fits):
-                part.append((c, f.gains[..., 0], np.real(f.v[..., 0]), f.certified))
-        free, g0, v0, certified = zip(*([np.concatenate(x, axis=1) for x in zip(*part)]
-                                        for part in parts))
+        free, g0, v0, _, certified = _scan_parts(ws, nodes, tie(nodes))
         if all(c.all() for c in certified):
             grid = [W.shape[1] for W in mats]
             free, g0, v0 = ([_upsample(x.reshape(len(x), *grid), mats) for x in part]
@@ -1082,7 +1096,7 @@ def _position_stage(obs, cfg: Optional[SearchConfig]):
     # refinement starts: best fine cells at least half a wavelength apart,
     # guarding against the true basin being narrowly outscored by a
     # sidelobe; the best one is scored exactly, as the RML start cost
-    starts = fine[_separated_minima(fine, fine_cp, 0.5 * lam, max(1, cfg.n_starts))]
+    starts = fine[_separated_minima(fine, fine_cp, 0.5 * lam, cfg.n_starts)]
     start_dtau = tie(starts)
     start_cost = float(_scan(ws, starts[:1], start_dtau[:1], coherent=True)[0])
 
@@ -1155,7 +1169,7 @@ def _dip_costs(ws: _Workspace, p_hat, delta_tau: float, cands) -> np.ndarray:
     ``_solve_psd``'s certification of the joint Gram H is evaluated per
     candidate through tr H^-1 = tr H0^-1 + (1 + ||w||^2) / s.  A candidate
     that fails it on any stripe, and every candidate when H0 fails to factor
-    or to certify on a stripe, is scored by ``_ncp_cost(_ncp_fits(...))``
+    or to certify on a stripe, is scored by the unfactored ``_ncp_fits``
     instead.  Chunks are ``_scan``'s, ``_CHUNK // N`` candidates each.
     """
     p = np.asarray(p_hat, float).reshape(1, 3)
@@ -1196,8 +1210,9 @@ def _dip_costs(ws: _Workspace, p_hat, delta_tau: float, cands) -> np.ndarray:
         if not ok.all():
             fail = ~ok
             m = int(fail.sum())
-            cost[fail] = _ncp_cost(ws, _ncp_fits(ws, np.broadcast_to(p, (m, 3)),
-                                                 np.full(m, dtaus[0]), sps[fail][:, None, :])[1])
+            fits = _ncp_fits(ws, np.broadcast_to(p, (m, 3)), np.full(m, dtaus[0]),
+                             sps[fail][:, None, :])
+            cost[fail] = _ncp_cost(_free_costs(ws, fits))
         costs.append(cost)
     return np.concatenate(costs)
 

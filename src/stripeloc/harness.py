@@ -220,11 +220,6 @@ def _table_entry(sdnr_db: float, stage: str, per_metric: dict, bounds: dict) -> 
 # ---------------------------------------------------------------------------
 
 
-def _run_one_trial(sc, seed, noise_scale, search, nst, jml_maxiter):
-    obs = synthesize(sc, rng_seed=seed, noise_scale=noise_scale)
-    return run_pipeline(obs, search=search, nst=nst, jml_maxiter=jml_maxiter)
-
-
 def _trial_record(sdnr_db, trial, report, errors) -> dict:
     def clean(v):
         return None if not np.isfinite(v) else float(v)
@@ -250,7 +245,6 @@ def run_monte_carlo(
     sdnr_list: Sequence[float],
     trials: int,
     master_seed: int,
-    noise_scale: float = 1.0,
     search: Optional[SearchConfig] = None,
     nst: Optional[NstConfig] = None,
     jml_maxiter: int = 2000,
@@ -286,9 +280,8 @@ def run_monte_carlo(
 
         def one(t, _sc=sc, _si=si):
             try:
-                return _run_one_trial(
-                    _sc, (master_seed, _si, t), noise_scale, search, nst, jml_maxiter
-                )
+                obs = synthesize(_sc, rng_seed=(master_seed, _si, t))
+                return run_pipeline(obs, search=search, nst=nst, jml_maxiter=jml_maxiter)
             except Exception as exc:  # recorded as this trial's failure
                 return exc
 
@@ -356,9 +349,8 @@ def run_bounds_sweep(
     sweep: str,
     values: Sequence[float],
     sync_modes: Sequence[SyncMode] = (SyncMode.CP, SyncMode.NCP),
-    cases: Sequence[str] = CASES,
 ) -> list:
-    """Bound rows over a sweep axis, per sync mode and multipath case.
+    """Bound rows over a sweep axis, per sync mode and multipath case of ``CASES``.
 
     Each row is a dict keyed by BOUNDS_COLUMNS.  Singular configurations
     appear as inf bounds with a diagnostic note rather than raising.
@@ -370,7 +362,7 @@ def run_bounds_sweep(
     for value in values:
         tuned = apply(scenario, value)
         for sync in sync_modes:
-            for case in cases:
+            for case in CASES:
                 carved, known = multipath_case(tuned, case)
                 options = FimOptions(sync_mode=sync, D=carved.D, known_rp_phases=known)
                 try:

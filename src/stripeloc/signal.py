@@ -29,13 +29,13 @@ BOLTZMANN = 1.380649e-23  # J/K, exact in the SI, as scipy.constants gives it
 
 @dataclass(frozen=True)
 class Waveform:
-    """OFDM pilot waveform: carrier, K subcarriers at spacing delta_f, unit-norm
-    pilot symbols, and the reference temperature setting the noise floor."""
+    """OFDM pilot waveform: carrier, K subcarriers at spacing delta_f, and the
+    reference temperature setting the noise floor.  Its ``pilots`` are the K
+    constant-modulus symbols 1/sqrt(K), of unit norm."""
 
     fc: float
     K: int
     delta_f: float
-    pilots: Optional[np.ndarray] = None
     temperature: float = 290.0
 
     def __post_init__(self):
@@ -43,16 +43,7 @@ class Waveform:
             raise ValueError("K must be >= 1")
         if self.delta_f <= 0.0:
             raise ValueError("delta_f must be positive")
-        s = self.pilots
-        if s is None:
-            s = np.full(self.K, 1.0 / math.sqrt(self.K), dtype=complex)
-        else:
-            s = np.asarray(s, dtype=complex).reshape(-1)
-            if s.size != self.K:
-                raise ValueError("pilot length must equal K")
-            if abs(np.linalg.norm(s) - 1.0) > 1e-9:
-                raise ValueError("pilots must have unit norm")
-        object.__setattr__(self, "pilots", s)
+        object.__setattr__(self, "pilots", np.full(self.K, 1.0 / math.sqrt(self.K), dtype=complex))
 
     @property
     def bandwidth(self) -> float:
@@ -318,20 +309,15 @@ def pt_for_sdnr(target_sdnr_db: float, scenario) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dump_observations(obs_set: ObservationSet, path: str, fmt: str = "bin") -> None:
+def dump_observations(obs_set: ObservationSet, path: str, fmt: str) -> None:
     """Write observations to disk for cross-language comparison.
 
-    Binary format: stripes in index order, each M x K matrix row-major, each
-    complex value as little-endian float64 (re, im) pairs, no header.  CSV
-    format: long table with columns stripe, antenna, subcarrier, re, im.
-    JSON format: a list of {"stripe", "re", "im"} objects, one per stripe,
-    ``re`` and ``im`` the M x K parts as nested lists.
+    CSV format (``fmt="csv"``): long table with columns stripe, antenna,
+    subcarrier, re, im.  JSON format (``fmt="json"``): a list of {"stripe",
+    "re", "im"} objects, one per stripe, ``re`` and ``im`` the M x K parts as
+    nested lists.
     """
-    if fmt == "bin":
-        with open(path, "wb") as fh:
-            for obs in obs_set.observations:
-                fh.write(np.ascontiguousarray(obs.Y).astype("<c16").tobytes())
-    elif fmt == "csv":
+    if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["stripe", "antenna", "subcarrier", "re", "im"])

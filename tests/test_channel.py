@@ -244,20 +244,20 @@ def test_path_phase_wraps():
 
 
 def test_dmc_covariance_zero_power():
-    R_f = dmc_frequency_covariance(DmcParams(0.0, 0.5, 0.1), 6, 1e6)
+    R_f = dmc_frequency_covariance(DmcParams(0.0, 0.5, 0.1), 6)
     assert np.all(R_f == 0)
 
 
 def test_dmc_covariance_dc_sample():
     dmc = DmcParams(2.0, 0.5, 0.0)
-    R_f = dmc_frequency_covariance(dmc, 5, 1e6)
+    R_f = dmc_frequency_covariance(dmc, 5)
     assert_allclose(R_f[0, 0], 2.0 / 0.5)
 
 
 def test_dmc_covariance_matches_bruteforce():
     dmc = DmcParams(1.7, 0.4, 0.23)
     K = 9
-    R_f = dmc_frequency_covariance(dmc, K, 120e3)
+    R_f = dmc_frequency_covariance(dmc, K)
     want = oracles.toeplitz_by_loop(oracles.dmc_psd_samples(1.7, 0.4, 0.23, K))
     assert_allclose(R_f, want, atol=1e-14)
     assert_allclose(R_f, R_f.conj().T, atol=1e-14)
@@ -270,7 +270,7 @@ def test_dmc_covariance_equals_scipy_toeplitz_bytes(dmc, K):
     from scipy.linalg import toeplitz
 
     kappa = dmc_psd(dmc, np.arange(K) / float(K))
-    R_f = dmc_frequency_covariance(dmc, K, 1e6)
+    R_f = dmc_frequency_covariance(dmc, K)
     want = toeplitz(kappa, kappa.conj())
     assert R_f.dtype == want.dtype and R_f.shape == want.shape == (K, K)
     assert R_f.tobytes() == want.tobytes()

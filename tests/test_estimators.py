@@ -713,6 +713,23 @@ def test_search_box_needs_one_pair_per_axis(est_scene, D, box):
         rml_position_search(obs, SearchConfig(box=box))
 
 
+@pytest.mark.parametrize("config, field, value", [
+    (SearchConfig, "step", 0.0), (SearchConfig, "step", -0.1), (NstConfig, "step", 0.0),
+    (NstConfig, "step", -0.25), (SearchConfig, "fine_span_wavelengths", -1.0),
+    (SearchConfig, "refine_maxiter", -1), (NstConfig, "refine_maxiter", -1),
+    (SearchConfig, "n_starts", 0),
+])
+def test_search_configs_refuse_bad_settings(config, field, value):
+    # a zero step ended in a ZeroDivisionError deep in the grid, a negative
+    # one in an "empty search grid" failure, a negative span in an
+    # IndexError, and no starts were silently raised to one
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        config(**{field: value})
+    # the smallest values the search runs with stay valid
+    assert SearchConfig(fine_span_wavelengths=0.0, refine_maxiter=0, n_starts=1)
+    assert NstConfig(refine_maxiter=0)
+
+
 @pytest.mark.parametrize("sdnr_db", [0.0, 20.0])
 def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
     # the coarse scan scores a decimated sub-lattice plus a full-resolution
@@ -727,7 +744,8 @@ def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
     axes = estimators._box_axes(ws, step, cfg.box, None)
     assert estimators._decimation(ws, axes, step) > 1
     lattice = estimators._mesh(axes, ws.known_height)
-    costs = estimators._ncp_cost(ws, estimators._ncp_fits(ws, lattice, tie(lattice))[1])
+    costs = estimators._ncp_cost(
+        estimators._free_costs(ws, estimators._ncp_fits(ws, lattice, tie(lattice))))
     pick = estimators._coarse_pick(ws, tie, cfg)
     np.testing.assert_array_equal(pick[1], lattice[np.argmin(costs)])
     assert abs(pick[0] - costs.min()) <= 1e-12 * costs.min()
@@ -735,17 +753,20 @@ def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
 
 def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs, monkeypatch):
     # _scan scores candidates in chunks of _CHUNK; over one and a half
-    # chunks its per-point costs equal a single unchunked fit
+    # chunks its per-point costs equal the noncoherent and the coherent cost
+    # of a single unchunked fit
     ws = estimators._Workspace(noisy_obs)
     n = 3 * estimators._CHUNK // 2
     rng = np.random.default_rng(12)
     pts = est_scene.ue_position + rng.uniform(-0.4, 0.4, (n, 3)) * [1.0, 1.0, 0.0]
     dtaus = est_scene.clock_offset + rng.uniform(-2e-9, 2e-9, n)
-    xi_sum, fits = estimators._ncp_fits(ws, pts, dtaus)
-    np.testing.assert_array_equal(estimators._scan(ws, pts, dtaus),
-                                  estimators._ncp_cost(ws, fits))
-    np.testing.assert_array_equal(estimators._scan(ws, pts, dtaus, coherent=True),
-                                  estimators._pinned_costs(ws, fits, np.angle(xi_sum)))
+    fits = estimators._ncp_fits(ws, pts, dtaus)
+    free = estimators._free_costs(ws, fits)
+    np.testing.assert_array_equal(estimators._scan(ws, pts, dtaus), estimators._ncp_cost(free))
+    coherent = estimators._coherent_cost(ws, free, [f.gains[..., 0] for f in fits],
+                                         [np.real(f.v[..., 0]) for f in fits],
+                                         [f.tau_los for f in fits])
+    np.testing.assert_array_equal(estimators._scan(ws, pts, dtaus, coherent=True), coherent)
     # the NST dip metric scores scatterer candidates in the same chunks; over
     # one and a half chunks its costs equal one unchunked call
     sps = est_scene.ue_position + rng.uniform(-1.5, 1.5, (n, 3))
@@ -805,11 +826,11 @@ def test_stacked_fit_rows_equal_single_stripe_fits(mix):
     p = sc.ue_position + rng.uniform(-0.05, 0.05, (B, 3)) * [1.0, 1.0, 0.0]
     dt = sc.clock_offset + rng.uniform(-1e-10, 1e-10, B)
     sps = sc.scatterers[0].position + rng.uniform(-0.2, 0.2, (B, 1, 3))
-    _, fits = estimators._ncp_fits(ws, p, dt, sps, exact=True)
+    fits = estimators._ncp_fits(ws, p, dt, sps, exact=True)
     for n, (i, s) in enumerate(ws.slots):
         assert ws.groups[i].index[s] == n
-        _, (alone,) = estimators._ncp_fits(estimators._Workspace(single_stripe(obs, n)), p, dt,
-                                           sps, exact=True)
+        (alone,) = estimators._ncp_fits(estimators._Workspace(single_stripe(obs, n)), p, dt, sps,
+                                        exact=True)
         for field in estimators._StripeFit._fields:
             assert getattr(fits[i], field)[s].tobytes() == getattr(alone, field)[0].tobytes(), field
 
@@ -860,11 +881,11 @@ def _joint_fits(ws, p, dtau, cands):
     """The joint free-gain fits of LoS + RP + one candidate scatterer per
     point, unfactored."""
     return estimators._ncp_fits(ws, np.broadcast_to(p, cands.shape), np.full(len(cands), dtau),
-                                cands[:, None, :])[1]
+                                cands[:, None, :])
 
 
 def _joint_dip_costs(ws, p, dtau, cands):
-    return estimators._ncp_cost(ws, _joint_fits(ws, p, dtau, cands))
+    return estimators._ncp_cost(estimators._free_costs(ws, _joint_fits(ws, p, dtau, cands)))
 
 
 @pytest.mark.parametrize("scene", [estimation_scenario, canonical_scenario],
@@ -885,7 +906,7 @@ def test_dip_costs_equal_joint_fit_on_nst_grid(scene):
     cands = _nst_grid(ws)
     assert len(cands) > estimators._CHUNK
     fits = _joint_fits(ws, p, sc.clock_offset, cands)
-    want = estimators._ncp_cost(ws, fits)
+    want = estimators._ncp_cost(estimators._free_costs(ws, fits))
     kappa = np.max(np.concatenate([np.real(f.H[..., -1, -1] * np.linalg.inv(f.H)[..., -1, -1])
                                    for f in fits]), axis=0)
     got = estimators._dip_costs(ws, p, sc.clock_offset, cands)

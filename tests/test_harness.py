@@ -105,8 +105,14 @@ def test_stage_errors_zero_at_truth():
 
 @pytest.fixture(scope="module")
 def clean_table():
+    # noise-free draws: the harness synthesizes every trial through its own
+    # module-level ``synthesize``
     sc = estimation_scenario()
-    return run_monte_carlo(sc, [20.0], trials=1, master_seed=5, noise_scale=0.0)
+    noisy = harness_mod.synthesize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_mod, "synthesize",
+                   lambda scene, rng_seed: noisy(scene, rng_seed, noise_scale=0.0))
+        return run_monte_carlo(sc, [20.0], trials=1, master_seed=5)
 
 
 def test_monte_carlo_rejects_zero_trials():
@@ -269,8 +275,9 @@ def test_run_bounds_sweep_empty_and_unknown():
 
 def test_run_bounds_sweep_aperture_uses_integer_antennas():
     sc = canonical_scenario()
-    rows = run_bounds_sweep(sc, "aperture", [4], sync_modes=(SyncMode.CP,), cases=("LRS",))
-    assert len(rows) == 1
+    rows = run_bounds_sweep(sc, "aperture", [4], sync_modes=(SyncMode.CP,))
+    assert [r["case"] for r in rows] == list(CASES)
+    rows = [r for r in rows if r["case"] == "LRS"]
     assert rows[0]["sweep"] == "aperture" and rows[0]["value"] == 4.0
     assert np.isfinite(rows[0]["peb_m"])
 
