@@ -17,8 +17,12 @@ complex amplitude per remaining path.  One small Hermitian solve per stripe,
 the free-gain fit, compresses the likelihood onto the wanted parameters: a
 Cholesky factorization certified full-rank, else a truncated
 eigendecomposition where response columns (nearly) collide.  The
-phase-pinned fit is a closed-form rank-one correction of it.  Every stage
-ends in a batched Levenberg-Marquardt refine on the exact residual.
+phase-pinned fit is a closed-form rank-one correction of it.  The coarse
+position scan finds its cell on a sub-grid scored by the LoS-only fit (the
+stripes seen with no reflecting wall; a reflection always arrives later and
+weaker than the LoS), then scores the cell's neighbourhood with every path.
+Every stage ends in a batched Levenberg-Marquardt refine on the exact
+residual.
 
 The whitened path responses come from the signal layer's batched
 ``whitened_response_parts`` and the reflections from ``geometry.mirror_ue``,
@@ -29,6 +33,7 @@ axis-wise norms round differently from the scalar ``geometry`` functions).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -380,9 +385,13 @@ class SearchConfig:
     cost only.  Its narrowest lobe, the smaller of the delay resolution c/B
     and a stripe's angular lobe lambda r / (M d) at the grid's closest
     approach r, sets a stride k that samples it at least 4 times: every k-th
-    grid coordinate per axis is scored, then every grid point within k steps
-    of that sub-grid's best cell (k = 1, the whole grid, when ``step`` is
-    coarse or a stripe is near).  A Levenberg-Marquardt refinement of the
+    grid coordinate per axis is scored by the LoS-only fit, one free gain
+    per stripe, then every grid point within k steps of that sub-grid's best
+    cell by the full one (k = 1, the whole grid with the full fit, when
+    ``step`` is coarse or a stripe is near).  A reflection travels farther
+    than the LoS and loses |Gamma| <= 1 at its wall, so in this model it
+    always arrives later and weaker, and the LoS-only cost dips at the UE
+    as the full one does.  A Levenberg-Marquardt refinement of the
     noncoherent residual from its minimum gives the noncoherent estimate and
     its Fisher covariance (2 J^T J)^-1.  A fine grid (step lambda/40,
     lambda/12 in 3-D) around the coarse minimum, reaching at most
@@ -906,34 +915,52 @@ def _scan(ws: _Workspace, positions, dtaus, coherent: bool = False) -> np.ndarra
     return _ncp_cost(free)
 
 
+def _los_view(ws: _Workspace) -> _Workspace:
+    """``ws`` seen with no reflecting wall: its fits have one path per
+    stripe, the LoS, and share everything else (groups, observations,
+    disturbances) with ``ws``."""
+    view = copy.copy(ws)
+    view.walls = ()
+    view.groups = [copy.copy(g) for g in ws.groups]
+    for g in view.groups:
+        g.walls = g.walls[:, :0]
+    return view
+
+
 def _coarse_pick(ws: _Workspace, tie, cfg: SearchConfig):
     """Best noncoherent cell of the coarse lattice at ``cfg.step``, as
     (cost, point, clock offset), every point at the clock offset ``tie``
     assigns it.
 
     The noncoherent cost is smooth on the scale of its narrowest lobe, so
-    the sub-lattice of every ``_decimation``-th coordinate per axis is scored
-    first, then every lattice point within that stride of its best cell; the
-    better of the two wins, the sub-lattice's on a tie.  Each scored point
-    is a lattice point, taken from the same per-axis coordinates.
+    the sub-lattice of every ``_decimation``-th coordinate per axis finds
+    the cell, scored by the LoS-only fit (``_los_view``, one free gain per
+    stripe), as direct position determination's coarse stage does (Weiss
+    2004).  That is sound here because a reflection always travels farther
+    than the LoS and loses |Gamma| <= 1 at its wall: it arrives later and
+    weaker, so the LoS-only cost dips at the UE as the full one does.  From
+    10 to 30 dB the pick was the full-fit argmin of the whole lattice on
+    every draw tried; at 0 dB, or in a box that leaves the UE out, it can
+    be another cell.  Then every lattice point within that stride of the
+    cell is scored with every path and the best wins.  With a stride of 1 the whole lattice is
+    scored with every path.  Each scored point is a lattice point, taken
+    from the same per-axis coordinates.
     """
-    def pick(axes):
+    def pick(view, axes):
         points = _mesh(axes, ws.known_height)
         dtaus = tie(points)
-        costs = _scan(ws, points, dtaus)
+        costs = _scan(view, points, dtaus)
         i = int(np.argmin(costs))
         return (float(costs[i]), points[i], float(dtaus[i])), i
 
     step = cfg.step if cfg.step is not None else ws.waveform.wavelength / 4.0
     axes = _box_axes(ws, step, cfg.box, _Z_RANGE if ws.D == 3 else None)
     k = _decimation(ws, axes, step)
+    if k == 1:
+        return pick(ws, axes)[0]
     sub = [ax[::k] for ax in axes]
-    best, i = pick(sub)
-    if k > 1:
-        cell = np.unravel_index(i, [len(ax) for ax in sub])
-        near = [ax[max(0, k * j - k) : k * j + k + 1] for ax, j in zip(axes, cell)]
-        best = min(best, pick(near)[0], key=lambda b: b[0])
-    return best
+    cell = np.unravel_index(pick(_los_view(ws), sub)[1], [len(ax) for ax in sub])
+    return pick(ws, [ax[max(0, k * j - k) : k * j + k + 1] for ax, j in zip(axes, cell)])[0]
 
 
 def _cubic_upsampling(n: int, k: int) -> np.ndarray:

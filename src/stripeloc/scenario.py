@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -93,6 +93,13 @@ class Scenario:
     D: int = 3
     dnr_db: float | None = None
     sdnr_db: float | None = None
+    # disturbance covariances by antenna count, filled by
+    # ``signal.make_disturbances``.  A covariance depends only on the DMC
+    # statistics, the waveform and the antenna count, all fixed for a
+    # scenario, so one build serves every synthesis and bound of it and
+    # lives as long as it (about 0.8 GB each at 4096 subcarriers, so no
+    # cache outlives its scenario); ``dataclasses.replace`` starts a new one
+    disturbance_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "walls", tuple(self.walls))

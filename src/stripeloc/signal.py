@@ -191,13 +191,17 @@ def noise_free_matrix(scenario, stripe_index: int, paths=None) -> np.ndarray:
 def make_disturbances(scenario) -> list[DisturbanceCov]:
     """One disturbance covariance per stripe.  The DMC statistics are the
     same at every stripe, so stripes with equal antenna counts share one
-    (read-only) object."""
+    (read-only) object, kept in the scenario's ``disturbance_cache`` for
+    every later synthesis and bound of it; a scene without that cache (a
+    duck-typed stand-in, which may be mutated) gets fresh ones per call."""
     wf = scenario.waveform
-    by_m = {}
+    by_m = getattr(scenario, "disturbance_cache", {})
     for st in scenario.stripes:
         if st.num_antennas not in by_m:
-            by_m[st.num_antennas] = disturbance_covariance(
-                scenario.dmc, wf.sigma2, wf.pilots, wf.K, st.num_antennas)
+            # threads racing on one scenario may both build; setdefault keeps
+            # the first, so every caller gets the same object
+            by_m.setdefault(st.num_antennas, disturbance_covariance(
+                scenario.dmc, wf.sigma2, wf.pilots, wf.K, st.num_antennas))
     return [by_m[st.num_antennas] for st in scenario.stripes]
 
 

@@ -751,6 +751,61 @@ def test_coarse_pick_equals_full_lattice_argmin(est_scene, sdnr_db):
     assert abs(pick[0] - costs.min()) <= 1e-12 * costs.min()
 
 
+@pytest.mark.parametrize("draw", [0, 1, 2])
+def test_coarse_pick_equals_full_lattice_argmin_on_canonical(draw):
+    # the twin of the test above on the canonical scene, whose 16-antenna
+    # stripes halve the angular lobes: this box reaches toward stripe 2,
+    # and the stride there is 2
+    sc = with_sdnr(canonical_scenario(), 20.0)
+    obs = synthesize(sc, rng_seed=(8, draw))
+    cfg = SearchConfig(box=((2.3, 3.7), (2.0, 4.6)))
+    ws = estimators._Workspace(obs)
+    tie = estimators._clock_tie(obs)
+    step = sc.waveform.wavelength / 4.0
+    axes = estimators._box_axes(ws, step, cfg.box, None)
+    assert estimators._decimation(ws, axes, step) == 2
+    lattice = estimators._mesh(axes, ws.known_height)
+    assert lattice[0, 0] < sc.ue_position[0] < lattice[-1, 0]
+    assert lattice[0, 1] < sc.ue_position[1] < lattice[-1, 1]
+    costs = estimators._ncp_cost(
+        estimators._free_costs(ws, estimators._ncp_fits(ws, lattice, tie(lattice))))
+    pick = estimators._coarse_pick(ws, tie, cfg)
+    np.testing.assert_array_equal(pick[1], lattice[np.argmin(costs)])
+    assert abs(pick[0] - costs.min()) <= 1e-12 * costs.min()
+
+
+@pytest.mark.parametrize("step", [None, 0.2])
+def test_coarse_pick_fits_the_sub_lattice_los_only(est_scene, monkeypatch, step):
+    # a count-based cost guard: with a stride k > 1 the sub-lattice is
+    # fitted with one path per stripe and only the window around its best
+    # cell, at most (2k + 1)^D points, with every path; at stride 1 (a
+    # coarse step) the whole lattice is fitted with every path
+    obs = synthesize(with_sdnr(est_scene, 20.0), rng_seed=(6, 0))
+    cfg = SearchConfig(step=step)
+    ws = estimators._Workspace(obs)
+    step = cfg.step or est_scene.waveform.wavelength / 4.0
+    axes = estimators._box_axes(ws, step, None, None)
+    k = estimators._decimation(ws, axes, step)
+    ncp_fits = estimators._ncp_fits
+    fitted = {}  # candidates fitted, by paths per stripe of each group
+
+    def counted(view, positions, *args, **kwargs):
+        paths = tuple(1 + g.walls.shape[1] for g in view.groups)
+        fitted[paths] = fitted.get(paths, 0) + len(positions)
+        return ncp_fits(view, positions, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_ncp_fits", counted)
+    estimators._coarse_pick(ws, estimators._clock_tie(obs), cfg)
+    every_path = tuple(1 + g.walls.shape[1] for g in ws.groups)
+    assert every_path == (4,)
+    if k == 1:
+        assert cfg.step == 0.2 and fitted == {every_path: math.prod(map(len, axes))}
+    else:
+        assert cfg.step is None and set(fitted) == {(1,), every_path}
+        assert fitted[(1,)] == math.prod(len(ax[::k]) for ax in axes)
+        assert 0 < fitted[every_path] <= (2 * k + 1) ** ws.D
+
+
 def test_scan_chunks_equal_one_unchunked_fit(est_scene, noisy_obs, monkeypatch):
     # _scan scores candidates in chunks of _CHUNK; over one and a half
     # chunks its per-point costs equal the noncoherent and the coherent cost
@@ -1135,10 +1190,12 @@ def test_fine_pass_scans_exactly_across_a_wall_plane(est_scene, monkeypatch):
     # a box around the x = 0 wall puts the fine lattice across its plane,
     # where the LoS column meets the reflection's and v_0 blows up: the pass
     # scans the window exactly, and every start's cost is the coherent cost
-    # of ``cp_cost_slice`` there
-    obs = synthesize(with_sdnr(est_scene, 20.0), rng_seed=(6, 0))
+    # of ``cp_cost_slice`` there.  The UE is 3 m from this box, so which
+    # cell the coarse pick finds in it depends on the draw; on this one the
+    # refined window straddles the wall
+    obs = synthesize(with_sdnr(est_scene, 20.0), rng_seed=(6, 2))
     calls = _spy_fine_pass(monkeypatch)
-    report = rml_position_search(obs, SearchConfig(box=((-0.35, 0.35), (2.5, 3.5))))
+    report = rml_position_search(obs, SearchConfig(box=((-0.35, 0.35), (2.0, 3.0))))
     [((ws, tie, axes, height, step), (fine, costs))] = calls
     assert axes[0][0] < 0.0 < axes[0][-1] and estimators._crosses_wall(ws, fine)
     assert costs.tobytes() == estimators._scan(ws, fine, tie(fine), coherent=True).tobytes()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from numpy.testing import assert_allclose
 from stripeloc import estimation_scenario, signal
 from stripeloc.channel import disturbance_covariance
 from stripeloc.geometry import enumerate_paths
+from stripeloc.scenario import with_antennas
 from stripeloc.signal import (
     Waveform,
     d_steering_frequency,
@@ -243,6 +246,42 @@ def test_make_disturbances_shared_per_antenna_count():
         assert cov.M == own.M
         for name in ("Q", "q_isqrt", "q_sqrt"):
             np.testing.assert_array_equal(getattr(cov, name), getattr(own, name))
+
+
+def test_one_scenario_shares_its_disturbances():
+    # a scenario's covariances are built once and shared by all its
+    # syntheses; a scenario with another antenna count or other DMC
+    # statistics gets its own, with the bits of a fresh build
+    sc = estimation_scenario()
+    a, b = synthesize(sc, 1), synthesize(sc, 2)
+    assert all(x is y for x, y in zip(a.disturbances, b.disturbances))
+    assert make_disturbances(sc)[0] is a.disturbances[0]
+    dmc = dataclasses.replace(sc.dmc, beta_d=2.0 * sc.dmc.beta_d)
+    for other in (with_antennas(sc, 6), dataclasses.replace(sc, dmc=dmc)):
+        cov = synthesize(other, 1).disturbances[0]
+        assert cov is not a.disturbances[0]
+        wf = other.waveform
+        own = disturbance_covariance(other.dmc, wf.sigma2, wf.pilots, wf.K,
+                                     other.stripes[0].num_antennas)
+        assert cov.M == own.M
+        for name in ("Q", "q_isqrt", "q_sqrt"):
+            np.testing.assert_array_equal(getattr(cov, name), getattr(own, name))
+
+
+def test_threads_on_one_scenario_share_its_disturbances():
+    # threads synthesizing on one fresh scenario, switching often, all get
+    # the covariance the cache keeps
+    sc = estimation_scenario()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            covs = list(pool.map(lambda seed: synthesize(sc, seed).disturbances, range(16),
+                                 timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    kept = sc.disturbance_cache[sc.stripes[0].num_antennas]
+    assert all(cov is kept for row in covs for cov in row)
 
 
 def test_synthesis_deterministic():
